@@ -309,6 +309,15 @@ writeSweepJson(const SweepView &view, FILE *out)
     fprintf(out, "]\n}\n");
 }
 
+void
+writeViewJson(const SweepView &view, FILE *out)
+{
+    if (view.labels.empty())
+        writeAggregateJson(view.entries.at(0), out);
+    else
+        writeSweepJson(view, out);
+}
+
 std::optional<SweepView>
 readSweepJson(const std::string &text)
 {

@@ -190,6 +190,10 @@ struct SweepView
  *  wrapper embedding one aggregate document per config). */
 void writeSweepJson(const SweepView &view, FILE *out);
 
+/** A sweep document when @p view has labels, else its single
+ *  aggregate document. */
+void writeViewJson(const SweepView &view, FILE *out);
+
 /**
  * Read a sweep JSON document produced by writeSweepJson.
  * @return nullopt when the buffer is not a sweep document (callers

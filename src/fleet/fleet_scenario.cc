@@ -7,17 +7,18 @@
 
 #include "controllers/factory.hh"
 #include "device/device_profiles.hh"
+#include "host/device_factory.hh"
 #include "sim/fault.hh"
+#include "sim/parse.hh"
 
 namespace iocost::fleet {
 
 namespace {
 
 [[noreturn]] void
-bad(const std::string &token, const std::string &why)
+bad(const std::string &why)
 {
-    throw std::invalid_argument("scenario: bad token \"" + token +
-                                "\": " + why);
+    throw std::invalid_argument(why);
 }
 
 /**
@@ -43,119 +44,26 @@ unitDraw(uint64_t seed, uint64_t salt, unsigned host)
     return static_cast<double>(r >> 11) * 0x1.0p-53;
 }
 
-uint64_t
-parseU64(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty value");
-    size_t pos = 0;
-    uint64_t v = 0;
-    try {
-        v = std::stoull(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable number \"" + text + "\"");
-    }
-    if (pos != text.size())
-        bad(token, "trailing junk after \"" + text + "\"");
-    return v;
-}
-
 double
-parseShare(const std::string &token, const std::string &text)
+parseShare(const std::string &text)
 {
-    if (text.empty())
-        bad(token, "empty share");
-    size_t pos = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable share \"" + text + "\"");
-    }
-    if (pos != text.size())
-        bad(token, "trailing junk after \"" + text + "\"");
+    const double v = sim::parseNumber(text);
     if (v <= 0.0)
-        bad(token, "share must be > 0");
+        bad("share must be > 0");
     return v;
-}
-
-/** Non-negative time with optional ns/us/ms/s suffix (default ms). */
-sim::Time
-parseTimeValue(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty time value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable time \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad(token, "negative time \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 0.0;
-    if (unit.empty() || unit == "ms")
-        scale = static_cast<double>(sim::kMsec);
-    else if (unit == "ns")
-        scale = static_cast<double>(sim::kNsec);
-    else if (unit == "us")
-        scale = static_cast<double>(sim::kUsec);
-    else if (unit == "s")
-        scale = static_cast<double>(sim::kSec);
-    else
-        bad(token, "unknown time unit \"" + unit + "\"");
-    return static_cast<sim::Time>(value * scale);
-}
-
-/** Byte count with optional K/M/G suffix (binary). */
-uint64_t
-parseBytes(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty byte value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable bytes \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad(token, "negative bytes \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 1.0;
-    if (unit.empty())
-        scale = 1.0;
-    else if (unit == "K" || unit == "k")
-        scale = 1024.0;
-    else if (unit == "M" || unit == "m")
-        scale = 1024.0 * 1024.0;
-    else if (unit == "G" || unit == "g")
-        scale = 1024.0 * 1024.0 * 1024.0;
-    else
-        bad(token, "unknown byte unit \"" + unit + "\"");
-    return static_cast<uint64_t>(value * scale);
 }
 
 device::SsdSpec
-deviceByName(const std::string &token, const std::string &name)
+deviceByName(const std::string &name)
 {
-    if (name.size() == 1 && name[0] >= 'A' && name[0] <= 'H')
-        return device::fleetSsd(name[0]);
-    if (name == "oldgen")
-        return device::oldGenSsd();
-    if (name == "newgen")
-        return device::newGenSsd();
-    if (name == "enterprise")
-        return device::enterpriseSsd();
-    bad(token, "unknown device \"" + name +
-                   "\" (A..H, oldgen, newgen, enterprise)");
+    if (const auto spec = host::ssdByName(name))
+        return *spec;
+    bad("unknown device \"" + name +
+        "\" (A..H, oldgen, newgen, enterprise)");
 }
 
 WorkloadKind
-workloadByName(const std::string &token, const std::string &name)
+workloadByName(const std::string &name)
 {
     if (name == "mixed")
         return WorkloadKind::Mixed;
@@ -167,9 +75,8 @@ workloadByName(const std::string &token, const std::string &name)
         return WorkloadKind::Bursty;
     if (name == "buffered")
         return WorkloadKind::Buffered;
-    bad(token, "unknown workload \"" + name +
-                   "\" (mixed, readheavy, writeheavy, bursty, "
-                   "buffered)");
+    bad("unknown workload \"" + name +
+        "\" (mixed, readheavy, writeheavy, bursty, buffered)");
 }
 
 /** Device spec back to its scenario token. */
@@ -191,7 +98,7 @@ deviceToken(const device::SsdSpec &spec)
 
 /** Split "a,b,c" on commas (no empty entries allowed). */
 std::vector<std::string>
-splitList(const std::string &token, const std::string &text)
+splitList(const std::string &text)
 {
     std::vector<std::string> out;
     size_t pos = 0;
@@ -202,7 +109,7 @@ splitList(const std::string &token, const std::string &text)
                                  ? std::string::npos
                                  : comma - pos);
         if (part.empty())
-            bad(token, "empty list entry");
+            bad("empty list entry");
         out.push_back(part);
         if (comma == std::string::npos)
             break;
@@ -264,6 +171,105 @@ workloadKindName(WorkloadKind kind)
     return "?";
 }
 
+namespace {
+
+/** Apply one key=value token of the scenario grammar. */
+void
+applyKey(FleetScenario &sc, const std::string &key,
+         const std::string &value)
+{
+    if (key == "hosts") {
+        sc.hosts = static_cast<unsigned>(sim::parseCount(value));
+    } else if (key == "days") {
+        sc.days = static_cast<unsigned>(sim::parseCount(value));
+    } else if (key == "seed") {
+        sc.seed = sim::parseCount(value);
+    } else if (key == "shards") {
+        sc.shards = static_cast<unsigned>(sim::parseCount(value));
+    } else if (key == "migration") {
+        for (const std::string &part : splitList(value)) {
+            const size_t dots = part.find("..");
+            if (dots == std::string::npos)
+                bad("expected START..END[:PCT]");
+            const size_t colon = part.find(':', dots + 2);
+            MigrationStage st;
+            st.startDay = static_cast<unsigned>(
+                sim::parseCount(part.substr(0, dots)));
+            const size_t end_len =
+                (colon == std::string::npos ? part.size() : colon) -
+                (dots + 2);
+            st.endDay = static_cast<unsigned>(
+                sim::parseCount(part.substr(dots + 2, end_len)));
+            if (st.endDay < st.startDay)
+                bad("stage end before start");
+            st.fraction = colon == std::string::npos
+                              ? 1.0
+                              : parseShare(part.substr(colon + 1)) /
+                                    100.0;
+            sc.stages.push_back(st);
+        }
+    } else if (key == "devices") {
+        for (const std::string &part : splitList(value)) {
+            const size_t colon = part.find(':');
+            FleetScenario::DeviceShare ds;
+            ds.spec = deviceByName(part.substr(0, colon));
+            ds.share = colon == std::string::npos
+                           ? 1.0
+                           : parseShare(part.substr(colon + 1));
+            sc.devices.push_back(std::move(ds));
+        }
+    } else if (key == "workloads") {
+        for (const std::string &part : splitList(value)) {
+            const size_t colon = part.find(':');
+            FleetScenario::WorkloadShare ws;
+            ws.kind = workloadByName(part.substr(0, colon));
+            ws.share = colon == std::string::npos
+                           ? 1.0
+                           : parseShare(part.substr(colon + 1));
+            sc.workloads.push_back(ws);
+        }
+    } else if (key == "faults") {
+        // Validate eagerly so a bad plan fails at parse time, not
+        // from inside the first worker thread.
+        (void)sim::FaultPlan::parse(value);
+        sc.faults = value;
+    } else if (key == "sweep") {
+        // Same eager-validation discipline: every entry must be a
+        // parseable controller spec before any worker runs.
+        sc.sweep = controllers::splitSpecList(value);
+        if (sc.sweep.empty())
+            bad("empty sweep list");
+        for (const std::string &entry : sc.sweep) {
+            if (!controllers::parseControllerSpec(entry))
+                bad("bad controller spec \"" + entry + "\"");
+        }
+    } else if (key == "slice") {
+        sc.slice = sim::parseTime(value);
+    } else if (key == "warmup") {
+        sc.warmup = sim::parseTime(value);
+    } else if (key == "fetch") {
+        sc.fetchBytes = sim::parseBytes(value);
+    } else if (key == "fetch_deadline") {
+        sc.fetchDeadline = sim::parseTime(value);
+    } else if (key == "cleanup") {
+        sc.cleanupOps = static_cast<unsigned>(sim::parseCount(value));
+    } else if (key == "cleanup_io") {
+        sc.cleanupIoBytes = static_cast<uint32_t>(sim::parseBytes(value));
+    } else if (key == "cleanup_deadline") {
+        sc.cleanupDeadline = sim::parseTime(value);
+    } else if (key == "pagecache") {
+        sc.pagecacheBytes = sim::parseBytes(value);
+    } else if (key == "dirty_ratio") {
+        sc.dirtyRatioPct = parseShare(value);
+        if (sc.dirtyRatioPct > 100.0)
+            bad("dirty_ratio is a percent (<= 100)");
+    } else {
+        bad("unknown key \"" + key + "\"");
+    }
+}
+
+} // namespace
+
 FleetScenario
 FleetScenario::parse(const std::string &spec)
 {
@@ -299,114 +305,14 @@ FleetScenario::parse(const std::string &spec)
         tokens.push_back(std::move(cur));
 
     for (const std::string &token : tokens) {
-        const size_t eq = token.find('=');
-        if (eq == std::string::npos)
-            bad(token, "expected key=value");
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-
-        if (key == "hosts") {
-            sc.hosts =
-                static_cast<unsigned>(parseU64(token, value));
-        } else if (key == "days") {
-            sc.days = static_cast<unsigned>(parseU64(token, value));
-        } else if (key == "seed") {
-            sc.seed = parseU64(token, value);
-        } else if (key == "shards") {
-            sc.shards =
-                static_cast<unsigned>(parseU64(token, value));
-        } else if (key == "migration") {
-            for (const std::string &part :
-                 splitList(token, value)) {
-                const size_t dots = part.find("..");
-                if (dots == std::string::npos)
-                    bad(token, "expected START..END[:PCT]");
-                const size_t colon = part.find(':', dots + 2);
-                MigrationStage st;
-                st.startDay = static_cast<unsigned>(
-                    parseU64(token, part.substr(0, dots)));
-                const size_t end_len =
-                    (colon == std::string::npos ? part.size()
-                                                : colon) -
-                    (dots + 2);
-                st.endDay = static_cast<unsigned>(parseU64(
-                    token, part.substr(dots + 2, end_len)));
-                if (st.endDay < st.startDay)
-                    bad(token, "stage end before start");
-                st.fraction =
-                    colon == std::string::npos
-                        ? 1.0
-                        : parseShare(token,
-                                     part.substr(colon + 1)) /
-                              100.0;
-                sc.stages.push_back(st);
-            }
-        } else if (key == "devices") {
-            for (const std::string &part :
-                 splitList(token, value)) {
-                const size_t colon = part.find(':');
-                DeviceShare ds;
-                ds.spec = deviceByName(
-                    token, part.substr(0, colon));
-                ds.share = colon == std::string::npos
-                               ? 1.0
-                               : parseShare(
-                                     token, part.substr(colon + 1));
-                sc.devices.push_back(std::move(ds));
-            }
-        } else if (key == "workloads") {
-            for (const std::string &part :
-                 splitList(token, value)) {
-                const size_t colon = part.find(':');
-                WorkloadShare ws;
-                ws.kind = workloadByName(
-                    token, part.substr(0, colon));
-                ws.share = colon == std::string::npos
-                               ? 1.0
-                               : parseShare(
-                                     token, part.substr(colon + 1));
-                sc.workloads.push_back(ws);
-            }
-        } else if (key == "faults") {
-            // Validate eagerly so a bad plan fails at parse time,
-            // not from inside the first worker thread.
-            (void)sim::FaultPlan::parse(value);
-            sc.faults = value;
-        } else if (key == "sweep") {
-            // Same eager-validation discipline: every entry must be
-            // a parseable controller spec before any worker runs.
-            sc.sweep = controllers::splitSpecList(value);
-            if (sc.sweep.empty())
-                bad(token, "empty sweep list");
-            for (const std::string &entry : sc.sweep) {
-                if (!controllers::parseControllerSpec(entry))
-                    bad(token, "bad controller spec \"" + entry +
-                                   "\"");
-            }
-        } else if (key == "slice") {
-            sc.slice = parseTimeValue(token, value);
-        } else if (key == "warmup") {
-            sc.warmup = parseTimeValue(token, value);
-        } else if (key == "fetch") {
-            sc.fetchBytes = parseBytes(token, value);
-        } else if (key == "fetch_deadline") {
-            sc.fetchDeadline = parseTimeValue(token, value);
-        } else if (key == "cleanup") {
-            sc.cleanupOps =
-                static_cast<unsigned>(parseU64(token, value));
-        } else if (key == "cleanup_io") {
-            sc.cleanupIoBytes = static_cast<uint32_t>(
-                parseBytes(token, value));
-        } else if (key == "cleanup_deadline") {
-            sc.cleanupDeadline = parseTimeValue(token, value);
-        } else if (key == "pagecache") {
-            sc.pagecacheBytes = parseBytes(token, value);
-        } else if (key == "dirty_ratio") {
-            sc.dirtyRatioPct = parseShare(token, value);
-            if (sc.dirtyRatioPct > 100.0)
-                bad(token, "dirty_ratio is a percent (<= 100)");
-        } else {
-            bad(token, "unknown key \"" + key + "\"");
+        try {
+            const size_t eq = token.find('=');
+            if (eq == std::string::npos)
+                bad("expected key=value");
+            applyKey(sc, token.substr(0, eq), token.substr(eq + 1));
+        } catch (const std::invalid_argument &err) {
+            throw std::invalid_argument("scenario: bad token \"" +
+                                        token + "\": " + err.what());
         }
     }
 

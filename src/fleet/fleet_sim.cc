@@ -9,11 +9,11 @@
 
 #include "controllers/factory.hh"
 #include "controllers/io_latency.hh"
-#include "core/config_parse.hh"
 #include "core/iocost.hh"
 #include "device/device_profiles.hh"
 #include "device/ssd_model.hh"
 #include "host/host.hh"
+#include "host/scenario.hh"
 #include "profile/device_profiler.hh"
 #include "sim/rng.hh"
 #include "workload/buffered_io.hh"
@@ -247,43 +247,24 @@ FleetSim::runHostDay(const FleetScenario &sc,
     // pagecache= gives every host-day a page cache; the flusher
     // only issues IO when something dirties pages, so non-buffered
     // kinds are unaffected.
-    if (sc.pagecacheBytes != 0) {
-        opts.enablePageCache = true;
-        opts.pageCacheConfig.cacheBytes = sc.pagecacheBytes;
-        if (sc.dirtyRatioPct > 0.0) {
-            opts.pageCacheConfig.dirtyRatio =
-                sc.dirtyRatioPct / 100.0;
-            opts.pageCacheConfig.dirtyBackgroundRatio =
-                sc.dirtyRatioPct / 200.0;
-        }
-    }
+    host::configurePageCache(opts, sc.pagecacheBytes,
+                             sc.dirtyRatioPct);
     // Slice-private ring: drained into the outcome after the run.
     stat::RingSink ring;
     if (sc.telemetry)
         opts.telemetrySink = &ring;
     if (parsed->name == "iocost") {
-        // Fleet defaults fill in whatever the spec line left out:
-        // the device-profile cost model unless the line carried
-        // model keys, the migration-study qos unless it carried qos
-        // keys (kernel io.cost.qos semantics — an explicit qos
-        // replaces the whole block, it is not merged key-by-key).
-        const std::string payload =
-            controllers::iocostPayload(controller);
-        if (!core::parseModelLine(payload)) {
-            const auto &prof =
-                profile::DeviceProfiler::profileSsd(spec);
-            opts.controller.iocost.model =
-                core::CostModel::fromConfig(prof.model);
-        }
-        if (!core::parseQosLine(payload)) {
-            opts.controller.iocost.qos.readLatTarget =
-                2 * sim::kMsec;
-            opts.controller.iocost.qos.writeLatTarget =
-                4 * sim::kMsec;
-            opts.controller.iocost.qos.period = 10 * sim::kMsec;
-            opts.controller.iocost.qos.vrateMin = 0.5;
-            opts.controller.iocost.qos.vrateMax = 2.0;
-        }
+        // The single-host rule, defaulting to the migration study's
+        // QoS instead of the single-host one.
+        core::QosParams qos;
+        qos.readLatTarget = 2 * sim::kMsec;
+        qos.writeLatTarget = 4 * sim::kMsec;
+        qos.period = 10 * sim::kMsec;
+        qos.vrateMin = 0.5;
+        qos.vrateMax = 2.0;
+        host::applyIocostDefaults(
+            opts.controller, controller,
+            profile::DeviceProfiler::profileSsd(spec).model, qos);
     }
     host::Host host(sim,
                     std::make_unique<device::SsdModel>(sim, spec),
@@ -530,6 +511,22 @@ FleetSim::runScenario(const FleetScenario &sc,
             accs[i].mergeFrom(accs[i + stride]);
     }
     return accs[0].finish(sc.hosts, shards, jobs);
+}
+
+SweepView
+FleetSim::runScenarioView(const FleetScenario &sc,
+                          const RunOptions &opts)
+{
+    SweepView view;
+    view.labels = sc.sweep;
+    if (sc.sweep.empty()) {
+        view.entries.push_back(
+            AggregateView::from(runScenario(sc, opts)));
+    } else {
+        for (const FleetAggregate &agg : runScenarioSweep(sc, opts))
+            view.entries.push_back(AggregateView::from(agg));
+    }
+    return view;
 }
 
 std::vector<FleetAggregate>

@@ -205,6 +205,15 @@ class FleetSim
                      const RunOptions &opts = {});
 
     /**
+     * The CLIs' fleet run: runScenarioSweep() when the scenario has
+     * sweep= configs, else runScenario(), as the view its JSON
+     * document is written from (labels = sc.sweep, one entry per
+     * config; see writeViewJson).
+     */
+    static SweepView runScenarioView(const FleetScenario &sc,
+                                     const RunOptions &opts);
+
+    /**
      * Run the full migration study (legacy entry point; wraps
      * runScenario over scenarioFromConfig). Byte-identical to the
      * pre-sharding implementation for any jobs value.

@@ -1,45 +1,39 @@
 #include "host/config.hh"
 
-#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
+
+#include "sim/parse.hh"
 
 namespace iocost::host {
 
-std::optional<uint64_t>
-parseSize(const std::string &text)
-{
-    if (text.empty())
-        return std::nullopt;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || v < 0)
-        return std::nullopt;
-    uint64_t mult = 1;
-    if (*end != '\0') {
-        switch (*end) {
-          case 'K':
-          case 'k':
-            mult = 1ull << 10;
-            break;
-          case 'M':
-          case 'm':
-            mult = 1ull << 20;
-            break;
-          case 'G':
-          case 'g':
-            mult = 1ull << 30;
-            break;
-          default:
-            return std::nullopt;
-        }
-        if (*(end + 1) != '\0')
-            return std::nullopt;
-    }
-    return static_cast<uint64_t>(v * static_cast<double>(mult));
-}
-
 namespace {
+
+/** Apply one key=value setting to @p cg. */
+void
+applySetting(Host &host, cgroup::CgroupId cg, const std::string &key,
+             const std::string &value)
+{
+    if (key == "io.weight") {
+        const uint64_t weight = sim::parseCount(value);
+        if (weight == 0 || weight > 10000)
+            throw std::invalid_argument("must be in [1, 10000]");
+        host.tree().setWeight(cg, static_cast<uint32_t>(weight));
+    } else if (key == "memory.low") {
+        const uint64_t bytes = sim::parseBytes(value);
+        if (!host.hasMemory())
+            throw std::invalid_argument("requires enableMemory");
+        host.mm().setProtection(cg, bytes);
+    } else if (key == "memory.dirty_limit") {
+        const uint64_t bytes = sim::parseBytes(value);
+        if (!host.hasPageCache())
+            throw std::invalid_argument("requires enablePageCache");
+        host.pageCache().setDirtyLimit(cg, bytes);
+    } else {
+        throw std::invalid_argument("unknown key");
+    }
+}
 
 /** Split a path into components, ignoring leading '/'. */
 std::vector<std::string>
@@ -123,51 +117,11 @@ applyConfig(Host &host, const std::string &config)
             }
             const std::string key = setting.substr(0, eq);
             const std::string value = setting.substr(eq + 1);
-            if (key == "io.weight") {
-                const auto weight = parseSize(value);
-                if (!weight || *weight == 0 ||
-                    *weight > 10000) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": bad io.weight '" + value + "'";
-                    return result;
-                }
-                host.tree().setWeight(
-                    cg, static_cast<uint32_t>(*weight));
-            } else if (key == "memory.low") {
-                const auto bytes = parseSize(value);
-                if (!bytes) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": bad memory.low '" + value + "'";
-                    return result;
-                }
-                if (!host.hasMemory()) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": memory.low requires enableMemory";
-                    return result;
-                }
-                host.mm().setProtection(cg, *bytes);
-            } else if (key == "memory.dirty_limit") {
-                const auto bytes = parseSize(value);
-                if (!bytes) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": bad memory.dirty_limit '" + value + "'";
-                    return result;
-                }
-                if (!host.hasPageCache()) {
-                    result.error =
-                        "line " + std::to_string(line_no) +
-                        ": memory.dirty_limit requires "
-                        "enablePageCache";
-                    return result;
-                }
-                host.pageCache().setDirtyLimit(cg, *bytes);
-            } else {
+            try {
+                applySetting(host, cg, key, value);
+            } catch (const std::invalid_argument &err) {
                 result.error = "line " + std::to_string(line_no) +
-                               ": unknown key '" + key + "'";
+                               ": " + key + ": " + err.what();
                 return result;
             }
             any = true;

@@ -22,7 +22,6 @@
 #ifndef IOCOST_HOST_CONFIG_HH
 #define IOCOST_HOST_CONFIG_HH
 
-#include <optional>
 #include <string>
 
 #include "host/host.hh"
@@ -61,9 +60,6 @@ cgroup::CgroupId findCgroup(cgroup::CgroupTree &tree,
  */
 cgroup::CgroupId ensureCgroup(cgroup::CgroupTree &tree,
                               const std::string &path);
-
-/** Parse a size with optional K/M/G suffix ("2G" -> 2^31). */
-std::optional<uint64_t> parseSize(const std::string &text);
 
 } // namespace iocost::host
 

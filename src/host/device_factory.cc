@@ -11,8 +11,6 @@
 
 namespace iocost::host {
 
-namespace {
-
 std::optional<device::SsdSpec>
 ssdByName(const std::string &name)
 {
@@ -26,6 +24,8 @@ ssdByName(const std::string &name)
         return device::enterpriseSsd();
     return std::nullopt;
 }
+
+namespace {
 
 std::optional<device::RemoteSpec>
 remoteByName(const std::string &name)

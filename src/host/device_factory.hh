@@ -12,13 +12,19 @@
 #define IOCOST_HOST_DEVICE_FACTORY_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "blk/block_device.hh"
 #include "core/cost_model.hh"
+#include "device/ssd_model.hh"
 #include "sim/simulator.hh"
 
 namespace iocost::host {
+
+/** The spec of a named SSD ("oldgen", "newgen", "enterprise",
+ *  "A".."H"), or nullopt for any other name. */
+std::optional<device::SsdSpec> ssdByName(const std::string &name);
 
 /**
  * Build a device model by name.

@@ -1,9 +1,9 @@
 #include "sim/fault.hh"
 
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
+
+#include "sim/parse.hh"
 
 namespace iocost::sim {
 
@@ -26,93 +26,92 @@ faultKindName(FaultKind kind)
 namespace {
 
 [[noreturn]] void
-bad(const std::string &token, const std::string &why)
+bad(const std::string &why)
 {
-    throw std::invalid_argument("faults: bad token \"" + token +
-                                "\": " + why);
-}
-
-/** Parse a non-negative number with an optional time suffix. */
-Time
-parseTime(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty time value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable time \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad(token, "negative time \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 0.0;
-    if (unit.empty() || unit == "ms")
-        scale = static_cast<double>(kMsec);
-    else if (unit == "ns")
-        scale = static_cast<double>(kNsec);
-    else if (unit == "us")
-        scale = static_cast<double>(kUsec);
-    else if (unit == "s")
-        scale = static_cast<double>(kSec);
-    else
-        bad(token, "unknown time unit \"" + unit + "\"");
-    return static_cast<Time>(value * scale);
-}
-
-double
-parseNumber(const std::string &token, const std::string &text)
-{
-    if (text.empty())
-        bad(token, "empty value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad(token, "unparsable value \"" + text + "\"");
-    }
-    if (pos != text.size())
-        bad(token, "trailing junk after \"" + text + "\"");
-    return value;
+    throw std::invalid_argument(why);
 }
 
 /** Parse "KIND@START+DUR[=PARAM]" into a FaultWindow. */
 FaultWindow
-parseWindow(const std::string &token, FaultKind kind,
-            const std::string &rest)
+parseWindow(FaultKind kind, const std::string &rest)
 {
     const size_t plus = rest.find('+');
     if (plus == std::string::npos)
-        bad(token, "expected START+DUR after '@'");
+        bad("expected START+DUR after '@'");
     const size_t eq = rest.find('=', plus);
 
     FaultWindow w;
     w.kind = kind;
-    w.start = parseTime(token, rest.substr(0, plus));
+    w.start = parseTime(rest.substr(0, plus));
     const size_t dur_end =
         (eq == std::string::npos ? rest.size() : eq) - (plus + 1);
-    w.duration = parseTime(token, rest.substr(plus + 1, dur_end));
+    w.duration = parseTime(rest.substr(plus + 1, dur_end));
     if (w.duration <= 0)
-        bad(token, "window duration must be positive");
+        bad("window duration must be positive");
 
     const bool wants_param =
         kind == FaultKind::LatencyMult || kind == FaultKind::ErrorRate;
     if (wants_param) {
         if (eq == std::string::npos)
-            bad(token, "expected '=<value>'");
-        w.param = parseNumber(token, rest.substr(eq + 1));
+            bad("expected '=<value>'");
+        w.param = parseNumber(rest.substr(eq + 1));
         if (kind == FaultKind::LatencyMult && w.param <= 0.0)
-            bad(token, "latency multiplier must be > 0");
+            bad("latency multiplier must be > 0");
         if (kind == FaultKind::ErrorRate &&
             (w.param < 0.0 || w.param > 1.0))
-            bad(token, "error rate must be in [0, 1]");
+            bad("error rate must be in [0, 1]");
     } else if (eq != std::string::npos) {
-        bad(token, "takes no '=<value>'");
+        bad("takes no '=<value>'");
     }
     return w;
+}
+
+/** Apply one non-empty token of the plan grammar. */
+void
+applyToken(FaultPlan &plan, const std::string &token)
+{
+    const size_t at = token.find('@');
+    if (at != std::string::npos) {
+        const std::string kind_name = token.substr(0, at);
+        FaultKind kind;
+        if (kind_name == "lat")
+            kind = FaultKind::LatencyMult;
+        else if (kind_name == "err")
+            kind = FaultKind::ErrorRate;
+        else if (kind_name == "stall")
+            kind = FaultKind::Stall;
+        else if (kind_name == "cliff")
+            kind = FaultKind::WriteCliff;
+        else
+            bad("unknown fault kind \"" + kind_name + "\"");
+        plan.windows.push_back(parseWindow(kind, token.substr(at + 1)));
+        return;
+    }
+
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos)
+        bad("expected KIND@... or KEY=VALUE");
+    const std::string key = token.substr(0, eq);
+    const std::string value = token.substr(eq + 1);
+    if (key == "seed") {
+        const double n = parseNumber(value);
+        if (n < 0.0)
+            bad("seed must be non-negative");
+        plan.seed = static_cast<uint64_t>(n);
+    } else if (key == "retries") {
+        const double n = parseNumber(value);
+        if (n < 0.0 || n > 32.0)
+            bad("retries must be in [0, 32]");
+        plan.maxRetries = static_cast<unsigned>(n);
+    } else if (key == "backoff") {
+        plan.retryBackoffBase = parseTime(value);
+        if (plan.retryBackoffBase <= 0)
+            bad("backoff must be positive");
+    } else if (key == "timeout") {
+        plan.bioTimeout = parseTime(value);
+    } else {
+        bad("unknown key \"" + key + "\"");
+    }
 }
 
 } // namespace
@@ -128,54 +127,15 @@ FaultPlan::parse(const std::string &spec)
             end = spec.size();
         const std::string token = spec.substr(begin, end - begin);
         begin = end + 1;
-        if (token.empty()) {
-            if (end == spec.size())
-                break;
-            bad(token, "empty token");
-        }
-
-        const size_t at = token.find('@');
-        if (at != std::string::npos) {
-            const std::string kind_name = token.substr(0, at);
-            const std::string rest = token.substr(at + 1);
-            FaultKind kind;
-            if (kind_name == "lat")
-                kind = FaultKind::LatencyMult;
-            else if (kind_name == "err")
-                kind = FaultKind::ErrorRate;
-            else if (kind_name == "stall")
-                kind = FaultKind::Stall;
-            else if (kind_name == "cliff")
-                kind = FaultKind::WriteCliff;
-            else
-                bad(token, "unknown fault kind \"" + kind_name + "\"");
-            plan.windows.push_back(parseWindow(token, kind, rest));
-            continue;
-        }
-
-        const size_t eq = token.find('=');
-        if (eq == std::string::npos)
-            bad(token, "expected KIND@... or KEY=VALUE");
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
-        if (key == "seed") {
-            const double n = parseNumber(token, value);
-            if (n < 0.0)
-                bad(token, "seed must be non-negative");
-            plan.seed = static_cast<uint64_t>(n);
-        } else if (key == "retries") {
-            const double n = parseNumber(token, value);
-            if (n < 0.0 || n > 32.0)
-                bad(token, "retries must be in [0, 32]");
-            plan.maxRetries = static_cast<unsigned>(n);
-        } else if (key == "backoff") {
-            plan.retryBackoffBase = parseTime(token, value);
-            if (plan.retryBackoffBase <= 0)
-                bad(token, "backoff must be positive");
-        } else if (key == "timeout") {
-            plan.bioTimeout = parseTime(token, value);
-        } else {
-            bad(token, "unknown key \"" + key + "\"");
+        if (token.empty() && end == spec.size())
+            break;
+        try {
+            if (token.empty())
+                bad("empty token");
+            applyToken(plan, token);
+        } catch (const std::invalid_argument &err) {
+            throw std::invalid_argument("faults: bad token \"" + token +
+                                        "\": " + err.what());
         }
     }
     return plan;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "sim/fault.hh"
+#include "sim/parse.hh"
 
 namespace iocost::whatif {
 
@@ -146,36 +147,6 @@ class FlatJson
     size_t pos_ = 0;
 };
 
-/** Non-negative time with optional ns/us/ms/s suffix (default ms). */
-sim::Time
-parseTimeValue(const std::string &text)
-{
-    if (text.empty())
-        bad("empty time value");
-    size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (const std::exception &) {
-        bad("unparsable time \"" + text + "\"");
-    }
-    if (value < 0.0)
-        bad("negative time \"" + text + "\"");
-    const std::string unit = text.substr(pos);
-    double scale = 0.0;
-    if (unit.empty() || unit == "ms")
-        scale = static_cast<double>(sim::kMsec);
-    else if (unit == "ns")
-        scale = static_cast<double>(sim::kNsec);
-    else if (unit == "us")
-        scale = static_cast<double>(sim::kUsec);
-    else if (unit == "s")
-        scale = static_cast<double>(sim::kSec);
-    else
-        bad("unknown time unit \"" + unit + "\"");
-    return static_cast<sim::Time>(value * scale);
-}
-
 } // namespace
 
 Query
@@ -201,16 +172,15 @@ Query::parse(const std::string &jsonLine)
         known["cg"] = q.cg;
         const std::string &value = get("value");
         known["value"] = value;
+        uint64_t w = 0;
         try {
-            const unsigned long w = std::stoul(value);
-            if (w == 0 || w > 10000)
-                bad("weight must be in [1, 10000]");
-            q.weight = static_cast<uint32_t>(w);
-        } catch (const std::invalid_argument &) {
-            throw;
-        } catch (const std::exception &) {
-            bad("unparsable weight \"" + value + "\"");
+            w = sim::parseCount(value);
+        } catch (const std::invalid_argument &err) {
+            bad(std::string("value: ") + err.what());
         }
+        if (w == 0 || w > 10000)
+            bad("weight must be in [1, 10000]");
+        q.weight = static_cast<uint32_t>(w);
     } else if (kind == "device") {
         q.kind = Kind::Device;
         q.profile = get("profile");
@@ -238,7 +208,11 @@ Query::parse(const std::string &jsonLine)
     }
 
     if (auto it = v.find("from"); it != v.end()) {
-        q.from = parseTimeValue(it->second);
+        try {
+            q.from = sim::parseTime(it->second);
+        } catch (const std::invalid_argument &err) {
+            bad(std::string("from: ") + err.what());
+        }
         known["from"] = it->second;
     }
     for (const auto &[key, value] : v) {

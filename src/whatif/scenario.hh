@@ -1,105 +1,19 @@
 /**
  * @file
- * What-if scenario: the immutable description of one single-host
- * experiment the query service answers questions about.
- *
- * A scenario pins everything that identifies a run — device,
- * controller spec, kernel-format model/qos lines, fault plan, seed,
- * duration, fio-style jobs — plus the checkpoint marks the service
- * snapshots at. Two scenarios with equal canonical() strings build
- * byte-identical baselines, so (scenario hash, query) keys the
- * result cache.
+ * What-if scenario: the single-host scenario the query service
+ * answers questions about (grammar in host/scenario.hh). Two
+ * scenarios with equal canonical() strings build byte-identical
+ * baselines, so (scenario hash, query) keys the result cache.
  */
 
 #ifndef IOCOST_WHATIF_SCENARIO_HH
 #define IOCOST_WHATIF_SCENARIO_HH
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "sim/time.hh"
+#include "host/scenario.hh"
 
 namespace iocost::whatif {
 
-/**
- * One single-host what-if scenario.
- *
- * Spec grammar (Scenario::parse): ';'- or newline-separated
- * key=value pairs —
- *
- *   device=newgen          any host::makeNamedDevice name
- *   controller=iocost min=25 max=150
- *                          a controllers::parseControllerSpec line
- *   model=<io.cost.model payload>   (default: device profile)
- *   qos=<io.cost.qos payload>
- *   faults=<sim::FaultPlan spec>    (default: healthy device)
- *   seconds=10             simulated run length
- *   seed=42
- *   pagecache=512M         per-host page cache; enables buffered
- *                          jobs (0/omitted = direct IO only)
- *   dirty_ratio=20         hard dirty wall, percent of the cache
- *                          (background threshold tracks at half)
- *   job=web:weight=200:depth=32    repeatable; iocost_sim --job
- *                          grammar (weight/depth/bs/rw/pattern/rate
- *                          plus buffered=1/fsync=N/span=BYTES for
- *                          page-cache jobs)
- *   marks=1s,2s,5s         checkpoint marks (ns/us/ms/s suffix,
- *                          default ms); t=0 is always a mark
- *
- * Omitted jobs default to the iocost_sim pair (web:weight=200 and
- * batch:weight=100, depth 32 each); omitted marks default to the
- * run's quarter points.
- */
-struct Scenario
-{
-    std::string device = "newgen";
-    std::string controller = "iocost";
-    std::string model;
-    std::string qos;
-    std::string faults;
-    double seconds = 10.0;
-    uint64_t seed = 42;
-
-    /** Page cache size per replica host (0 = none; buffered jobs
-     *  then fail validation). */
-    uint64_t pagecacheBytes = 0;
-
-    /** Hard dirty wall as a percent of the cache; 0 keeps
-     *  mm::PageCacheConfig defaults. */
-    double dirtyRatioPct = 0.0;
-
-    /** Raw job spec strings (iocost_sim --job grammar). */
-    std::vector<std::string> jobs;
-
-    /** Checkpoint marks, sorted, deduplicated, starting at 0. */
-    std::vector<sim::Time> marks;
-
-    /** Simulated run length. */
-    sim::Time duration() const;
-
-    /**
-     * Parse a scenario spec (grammar above) and normalize it:
-     * default jobs/marks filled in, marks sorted with 0 prepended.
-     * @throws std::invalid_argument on a malformed spec.
-     */
-    static Scenario parse(const std::string &text);
-
-    /**
-     * Fill defaulted jobs/marks and canonicalize the mark list.
-     * parse() normalizes automatically; callers assembling a
-     * Scenario field-by-field must normalize before use.
-     * @throws std::invalid_argument on marks beyond the duration or
-     *         a non-positive duration.
-     */
-    void normalize();
-
-    /** Deterministic one-line rendering (the cache identity). */
-    std::string canonical() const;
-
-    /** FNV-1a hash of canonical(). */
-    uint64_t hash() const;
-};
+using Scenario = host::ScenarioSpec;
 
 } // namespace iocost::whatif
 

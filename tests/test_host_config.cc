@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "device/device_profiles.hh"
 #include "device/ssd_model.hh"
 #include "host/config.hh"
 #include "host/host.hh"
+#include "sim/parse.hh"
 
 namespace {
 
@@ -29,18 +31,22 @@ makeHost(sim::Simulator &sim, bool memory = false)
         opts);
 }
 
+/** Config sizes are sim::parseBytes values. */
 TEST(HostConfig, ParseSize)
 {
-    EXPECT_EQ(host::parseSize("100"), 100u);
-    EXPECT_EQ(host::parseSize("2K"), 2048u);
-    EXPECT_EQ(host::parseSize("3M"), 3ull << 20);
-    EXPECT_EQ(host::parseSize("2G"), 2ull << 30);
-    EXPECT_EQ(host::parseSize("1.5G"),
+    EXPECT_EQ(sim::parseBytes("100"), 100u);
+    EXPECT_EQ(sim::parseBytes("2K"), 2048u);
+    EXPECT_EQ(sim::parseBytes("3M"), 3ull << 20);
+    EXPECT_EQ(sim::parseBytes("2G"), 2ull << 30);
+    EXPECT_EQ(sim::parseBytes("1.5G"),
               static_cast<uint64_t>(1.5 * (1ull << 30)));
-    EXPECT_FALSE(host::parseSize("abc").has_value());
-    EXPECT_FALSE(host::parseSize("5X").has_value());
-    EXPECT_FALSE(host::parseSize("").has_value());
-    EXPECT_FALSE(host::parseSize("2Gb").has_value());
+    for (const char *bad : {"abc", "5X", "", "2Gb"})
+        EXPECT_THROW(sim::parseBytes(bad), std::invalid_argument) << bad;
+
+    sim::Simulator sim(140);
+    auto hp = makeHost(sim, true);
+    ASSERT_TRUE(host::applyConfig(*hp, "workload.slice memory.low=2G"));
+    EXPECT_FALSE(host::applyConfig(*hp, "workload.slice memory.low=2Gb"));
 }
 
 TEST(HostConfig, FindAndEnsure)

@@ -1,0 +1,306 @@
+/**
+ * @file
+ * The single-host scenario surface: the shared value parsers
+ * (sim/parse.hh), the job grammar, the iocost defaulting rule and the
+ * scenario spec's canonical identity, pinned to golden values because
+ * what-if result caches and recorded diff documents key on them.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
+#include "controllers/factory.hh"
+#include "core/config_parse.hh"
+#include "host/scenario.hh"
+#include "sim/parse.hh"
+
+namespace {
+
+using namespace iocost;
+
+TEST(SimParse, Time)
+{
+    const struct
+    {
+        const char *text;
+        sim::Time want;
+    } ok[] = {
+        {"250", 250 * sim::kMsec},   {"250ms", 250 * sim::kMsec},
+        {"2s", 2 * sim::kSec},       {"1.5s", 1500 * sim::kMsec},
+        {"500us", 500 * sim::kUsec}, {"7ns", 7},
+        {"0", 0},                    {"1e3", sim::kSec},
+    };
+    for (const auto &c : ok)
+        EXPECT_EQ(sim::parseTime(c.text), c.want) << c.text;
+    for (const char *bad : {"", "ms", "-1ms", "-5", "5parsecs", "5 ms",
+                            "5msx", "2S", "x"}) {
+        EXPECT_THROW(sim::parseTime(bad), std::invalid_argument) << bad;
+    }
+}
+
+TEST(SimParse, Bytes)
+{
+    const struct
+    {
+        const char *text;
+        uint64_t want;
+    } ok[] = {
+        {"100", 100},          {"2K", 2048},          {"2k", 2048},
+        {"3M", 3ull << 20},    {"2G", 2ull << 30},    {"0", 0},
+        {"1.5G", static_cast<uint64_t>(1.5 * (1ull << 30))},
+    };
+    for (const auto &c : ok)
+        EXPECT_EQ(sim::parseBytes(c.text), c.want) << c.text;
+    for (const char *bad : {"", "G", "-1K", "5X", "2Gb", "1T", "x"})
+        EXPECT_THROW(sim::parseBytes(bad), std::invalid_argument) << bad;
+}
+
+TEST(SimParse, Numbers)
+{
+    EXPECT_EQ(sim::parseCount("42"), 42u);
+    EXPECT_EQ(sim::parseCount("0"), 0u);
+    EXPECT_DOUBLE_EQ(sim::parseNumber("0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(sim::parseNumber("-3"), -3.0);
+    for (const char *bad : {"", "abc", "-1", "+1", "1.5", "12x", " 1"})
+        EXPECT_THROW(sim::parseCount(bad), std::invalid_argument) << bad;
+    for (const char *bad : {"", "abc", "1.5x", "1,5"})
+        EXPECT_THROW(sim::parseNumber(bad), std::invalid_argument) << bad;
+}
+
+/** Every job key lands in its field. */
+TEST(ParseJob, EveryKey)
+{
+    const host::JobSpec d = host::parseJob("plain");
+    EXPECT_EQ(d.name, "plain");
+    EXPECT_EQ(d.weight, 100u);
+    EXPECT_FALSE(d.buffered);
+    EXPECT_EQ(d.fio.arrival, workload::Arrival::Saturating);
+
+    const host::JobSpec j = host::parseJob(
+        "db:weight=250:depth=8:bs=16K:rw=write:pattern=seq:rate=1500.5:"
+        "buffered=1:fsync=4:span=2G");
+    EXPECT_EQ(j.name, "db");
+    EXPECT_EQ(j.weight, 250u);
+    EXPECT_EQ(j.fio.iodepth, 8u);
+    EXPECT_EQ(j.fio.blockSize, 16u * 1024);
+    EXPECT_EQ(j.fio.readFraction, 0.0);
+    EXPECT_EQ(j.fio.randomFraction, 0.0);
+    EXPECT_EQ(j.fio.arrival, workload::Arrival::Rate);
+    EXPECT_DOUBLE_EQ(j.fio.ratePerSec, 1500.5);
+    EXPECT_TRUE(j.buffered);
+    EXPECT_EQ(j.fsyncEvery, 4u);
+    EXPECT_EQ(j.spanBytes, 2ull << 30);
+
+    EXPECT_EQ(host::parseJob("a:rw=read").fio.readFraction, 1.0);
+    EXPECT_EQ(host::parseJob("a:rw=mixed").fio.readFraction, 0.5);
+    EXPECT_EQ(host::parseJob("a:pattern=rand").fio.randomFraction, 1.0);
+    EXPECT_FALSE(host::parseJob("a:buffered=0").buffered);
+}
+
+/** Errors name the job and the offending key. */
+TEST(ParseJob, Errors)
+{
+    const struct
+    {
+        const char *text;
+        const char *mentions;
+    } bad[] = {
+        {"web:weight", "weight"},         // missing '='
+        {"web:colour=red", "colour"},     // unknown key
+        {"web:weight=abc", "weight"},     // bad number
+        {"web:depth=-1", "depth"},        //
+        {"web:weight=0", "weight"},       // out of range
+        {"web:bs=4Q", "bs"},              // bad size suffix
+        {"web:rate=fast", "rate"},        //
+        {"web:rw=sideways", "rw"},        // bad enum
+        {"web:pattern=zigzag", "pattern"}, //
+        {"web:fsync=1.5", "fsync"},       //
+    };
+    for (const auto &c : bad) {
+        try {
+            (void)host::parseJob(c.text);
+            ADD_FAILURE() << "accepted " << c.text;
+        } catch (const std::invalid_argument &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find(c.text), std::string::npos) << what;
+            EXPECT_NE(what.find(c.mentions), std::string::npos) << what;
+        }
+    }
+}
+
+/** Scenario jobs are laid out in disjoint 1 TiB regions. */
+TEST(ScenarioSpec, ParsedJobsAreDisjoint)
+{
+    const host::ScenarioSpec sc =
+        host::ScenarioSpec::parse("job=a;job=b:buffered=1;job=c");
+    const auto jobs = sc.parsedJobs();
+    ASSERT_EQ(jobs.size(), 3u);
+    for (size_t j = 0; j < jobs.size(); ++j)
+        EXPECT_EQ(jobs[j].fio.offsetBase, static_cast<uint64_t>(j) << 40);
+}
+
+/** Canonical rendering of @p sc with its marks given an explicit ns
+ *  unit, the spelling parse() reads back (canonical() keeps bare ns
+ *  marks so recorded scenario hashes hold). */
+std::string
+reparseable(const host::ScenarioSpec &sc)
+{
+    std::string text = sc.canonical();
+    text.resize(text.find(";marks=") + 7);
+    for (size_t i = 0; i < sc.marks.size(); ++i) {
+        text += (i ? "," : "") + std::to_string(sc.marks[i]) + "ns";
+    }
+    return text;
+}
+
+/**
+ * canonical() and hash() are cache identities: these values were
+ * captured before the scenario moved into host/, and every later
+ * change must reproduce them byte for byte.
+ */
+TEST(ScenarioSpec, GoldenCanonicalAndHash)
+{
+    const struct
+    {
+        const char *spec;
+        const char *canonical;
+        uint64_t hash;
+    } golden[] = {
+        {"",
+         "device=newgen;controller=iocost;model=;qos=;faults=;seconds=10;"
+         "seed=42;job=web:weight=200:depth=32;job=batch:weight=100:"
+         "depth=32;marks=0,2500000000,5000000000,7500000000",
+         0x2feb979822709ff0ull},
+        {"seconds=2;pagecache=64M;dirty_ratio=25;"
+         "job=web:weight=200:depth=16;"
+         "job=b:weight=100:buffered=1:bs=65536:fsync=4:span=8388608",
+         "device=newgen;controller=iocost;model=;qos=;faults=;seconds=2;"
+         "seed=42;pagecache=67108864;dirty_ratio=25;"
+         "job=web:weight=200:depth=16;"
+         "job=b:weight=100:buffered=1:bs=65536:fsync=4:span=8388608;"
+         "marks=0,500000000,1000000000,1500000000",
+         0xa2c8eaed707639acull},
+        {"device=oldgen;faults=lat@1s+500ms=4,err@2s+1s=0.01;"
+         "seconds=4;marks=500ms,1s,2500ms;seed=7",
+         "device=oldgen;controller=iocost;model=;qos=;"
+         "faults=lat@1s+500ms=4,err@2s+1s=0.01;seconds=4;seed=7;"
+         "job=web:weight=200:depth=32;job=batch:weight=100:depth=32;"
+         "marks=0,500000000,1000000000,2500000000",
+         0x8b054269b2e9f689ull},
+        {"controller=iocost rlat=250 wlat=2000 min=25 max=100 "
+         "period=50000;qos=min=40 max=90;seconds=1.5",
+         "device=newgen;controller=iocost rlat=250 wlat=2000 min=25 "
+         "max=100 period=50000;model=;qos=min=40 max=90;faults=;"
+         "seconds=1.5;seed=42;job=web:weight=200:depth=32;"
+         "job=batch:weight=100:depth=32;"
+         "marks=0,375000000,750000000,1125000000",
+         0xb6fae45f986649b1ull},
+    };
+    for (const auto &g : golden) {
+        const host::ScenarioSpec sc = host::ScenarioSpec::parse(g.spec);
+        EXPECT_EQ(sc.canonical(), g.canonical) << g.spec;
+        EXPECT_EQ(sc.hash(), g.hash) << g.spec;
+        const host::ScenarioSpec again =
+            host::ScenarioSpec::parse(reparseable(sc));
+        EXPECT_EQ(again.canonical(), sc.canonical()) << g.spec;
+    }
+}
+
+TEST(ScenarioSpec, ParseErrorsNameTheKey)
+{
+    const struct
+    {
+        const char *spec;
+        const char *mentions;
+    } bad[] = {
+        {"seconds=x", "seconds"},
+        {"seconds=0", "seconds"},
+        {"seed=-1", "seed"},
+        {"pagecache=5X", "pagecache"},
+        {"dirty_ratio=180", "dirty_ratio"},
+        {"marks=5parsecs", "marks"},
+        {"controller=bogus", "controller"},
+        {"qos=min=90 max=10", "qos"},
+        {"faults=lat@1s", "faults"},
+        {"job=web:weight=abc", "weight"},
+        {"colour=red", "colour"},
+        {"novalue", "novalue"},
+    };
+    for (const auto &c : bad) {
+        try {
+            (void)host::ScenarioSpec::parse(c.spec);
+            ADD_FAILURE() << "accepted " << c.spec;
+        } catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find(c.mentions),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
+/** The one defaulting rule: model and QoS keys on the line win, the
+ *  period= extension survives a defaulted QoS. */
+TEST(ScenarioDefaults, IocostDefaulting)
+{
+    core::LinearModelConfig model;
+    model.rbps = 123e6;
+    core::LinearModelConfig line_model;
+    line_model.rbps = 5e6;
+    auto read_ns = [](const core::LinearModelConfig &cfg) {
+        return core::CostModel::fromConfig(cfg).readNsPerByte();
+    };
+    auto resolve = [&](const std::string &line) {
+        auto spec = controllers::parseControllerSpec(line);
+        EXPECT_TRUE(spec.has_value()) << line;
+        host::applyIocostDefaults(*spec, line, model);
+        return *spec;
+    };
+    const core::QosParams dflt = host::defaultQos();
+
+    const auto bare = resolve("iocost");
+    EXPECT_EQ(bare.iocost.qos.vrateMin, 0.5);
+    EXPECT_EQ(bare.iocost.qos.vrateMax, 1.0);
+    EXPECT_EQ(bare.iocost.qos.period, dflt.period);
+    EXPECT_EQ(bare.iocost.model.readNsPerByte(), read_ns(model));
+
+    const auto keyed = resolve("iocost min=25 max=25 rbps=5000000");
+    EXPECT_EQ(keyed.iocost.qos.vrateMin, 0.25);
+    EXPECT_EQ(keyed.iocost.qos.vrateMax, 0.25);
+    EXPECT_EQ(keyed.iocost.model.readNsPerByte(), read_ns(line_model));
+
+    const auto period = resolve("iocost period=20000");
+    EXPECT_EQ(period.iocost.qos.vrateMin, 0.5);
+    EXPECT_EQ(period.iocost.qos.period, 20 * sim::kMsec);
+}
+
+/** Sweep lanes get the host's defaulting: bare iocost runs 50-100%,
+ *  and the scenario's qos line replaces every lane's QoS. */
+TEST(ScenarioDefaults, SweepLanesDefaultLikeTheHost)
+{
+    auto lane = [](const host::ScenarioSpec &sc, const std::string &line) {
+        const host::SweepOptions opts =
+            host::scenarioSweep(sc, {line, "iolatency"});
+        auto spec = controllers::parseControllerSpec(line);
+        opts.tweakSpec(line, *spec);
+        return spec->iocost.qos;
+    };
+    const host::ScenarioSpec plain = host::ScenarioSpec::parse("");
+    EXPECT_EQ(lane(plain, "iocost").vrateMin, 0.5);
+    EXPECT_EQ(lane(plain, "iocost").vrateMax, 1.0);
+    EXPECT_EQ(lane(plain, "iocost min=25 max=25").vrateMax, 0.25);
+
+    const host::ScenarioSpec qos =
+        host::ScenarioSpec::parse("qos=min=40 max=90");
+    EXPECT_EQ(lane(qos, "iocost min=25 max=25").vrateMin, 0.4);
+    EXPECT_EQ(lane(qos, "iocost").vrateMax, 0.9);
+
+    EXPECT_THROW(host::scenarioSweep(
+                     host::ScenarioSpec::parse("job=b:buffered=1"),
+                     {"iocost", "iolatency"}),
+                 std::invalid_argument);
+}
+
+} // namespace

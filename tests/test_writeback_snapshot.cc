@@ -17,10 +17,10 @@
 
 #include "host/device_factory.hh"
 #include "host/host.hh"
+#include "host/scenario.hh"
 #include "mm/page_cache.hh"
 #include "sim/rng.hh"
 #include "whatif/query.hh"
-#include "whatif/scenario.hh"
 #include "whatif/service.hh"
 #include "workload/buffered_io.hh"
 #include "workload/fio_workload.hh"
@@ -176,10 +176,10 @@ TEST(WritebackSnapshot, MultiRestoreMidStall)
     EXPECT_EQ(first, second);
 }
 
-whatif::Scenario
+host::ScenarioSpec
 bufferedScenario()
 {
-    return whatif::Scenario::parse(
+    return host::ScenarioSpec::parse(
         "device=newgen;seconds=0.4;marks=100ms,200ms;seed=11;"
         "pagecache=32M;dirty_ratio=30;"
         "job=web:weight=200:depth=16;"
@@ -193,7 +193,7 @@ bufferedScenario()
  *  the checkpoint marks. */
 TEST(WhatifBuffered, BranchEqualsCold)
 {
-    const whatif::Scenario sc = bufferedScenario();
+    const host::ScenarioSpec sc = bufferedScenario();
     whatif::Service service(sc, 2);
     const char *const queries[] = {
         "{\"q\":\"weight\",\"cg\":\"batch\",\"value\":500,"
@@ -216,28 +216,28 @@ TEST(WhatifBuffered, BranchEqualsCold)
  *  (pre-existing canonical strings and cache keys must not move). */
 TEST(WhatifBuffered, ScenarioGrammar)
 {
-    const whatif::Scenario sc = bufferedScenario();
+    const host::ScenarioSpec sc = bufferedScenario();
     EXPECT_NE(sc.canonical().find("pagecache=33554432"),
               std::string::npos);
     EXPECT_NE(sc.canonical().find("dirty_ratio=30"),
               std::string::npos);
-    const whatif::Scenario again = bufferedScenario();
+    const host::ScenarioSpec again = bufferedScenario();
     EXPECT_EQ(again.canonical(), sc.canonical());
     EXPECT_EQ(again.hash(), sc.hash());
 
-    const whatif::Scenario plain = whatif::Scenario::parse(
+    const host::ScenarioSpec plain = host::ScenarioSpec::parse(
         "device=newgen;seconds=0.4;marks=100ms,200ms;seed=11");
     EXPECT_EQ(plain.canonical().find("pagecache"),
               std::string::npos);
     EXPECT_EQ(plain.canonical().find("dirty_ratio"),
               std::string::npos);
 
-    whatif::Scenario with_cache = plain;
+    host::ScenarioSpec with_cache = plain;
     with_cache.pagecacheBytes = 32ull << 20;
     with_cache.normalize();
     EXPECT_NE(with_cache.hash(), plain.hash());
 
-    EXPECT_THROW(whatif::Scenario::parse(
+    EXPECT_THROW(host::ScenarioSpec::parse(
                      "device=newgen;seconds=0.1;dirty_ratio=180"),
                  std::invalid_argument);
 }
@@ -246,7 +246,7 @@ TEST(WhatifBuffered, ScenarioGrammar)
  *  not a silent direct-IO fallback. */
 TEST(WhatifBuffered, BufferedRequiresPagecache)
 {
-    const whatif::Scenario sc = whatif::Scenario::parse(
+    const host::ScenarioSpec sc = host::ScenarioSpec::parse(
         "device=newgen;seconds=0.2;seed=1;"
         "job=b:weight=100:buffered=1");
     EXPECT_THROW(whatif::Replica replica(sc),

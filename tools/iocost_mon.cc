@@ -8,18 +8,13 @@
  * per-cgroup usage, wait, debt, and hierarchical weights — instead
  * of only end-of-run aggregates.
  *
- * Single-host mode mirrors iocost_sim's flags:
- *   iocost_mon [--device oldgen|newgen|enterprise|hdd|gp3|io2|
- *               pd-balanced|pd-ssd]
- *              [--controller "<spec>"] [--model "..."] [--qos "..."]
- *              [--faults "<spec>"]  deterministic device fault plan
- *                              (see sim::FaultPlan::parse)
- *              [--seconds N] [--seed N] [--job name:key=value:...]
- *              [--pagecache SIZE] [--dirty-ratio PCT]
- *                              page cache for buffered=1 jobs
- *                              (same keys as iocost_sim); the
- *                              flusher's "wb" telemetry shows up
- *                              as a [wb] row under each period
+ * Single-host mode takes iocost_sim's scenario flags (--device,
+ * --controller, --model, --qos, --faults, --seconds, --seed,
+ * --pagecache, --dirty-ratio, --job; src/host/scenario.hh documents
+ * them and the job grammar) and runs the same host, from t=0 with no
+ * warmup cut, for --seconds (default 5). The page-cache flusher's
+ * "wb" telemetry shows up as a [wb] row under each period.
+ *   iocost_mon [scenario flags]
  *              [--every N]     render every Nth period (default:
  *                              auto, ~32 rows)
  *              [--detail]      per-completion device/blk records
@@ -27,12 +22,12 @@
  *
  * Host sweep mode runs every ';'-separated controller spec as a
  * shadow lane over one shared workload/device stream (host::runSweep
- * CRN semantics) and renders the fused fast-path occupancy per
- * planning boundary — the row where a sweep visibly falls off the
- * fused path — plus the end-of-run per-config comparison:
+ * CRN semantics, the same per-config defaulting as iocost_sim
+ * --sweep) and renders the fused fast-path occupancy per planning
+ * boundary — the row where a sweep visibly falls off the fused path —
+ * plus the end-of-run per-config comparison:
  *   iocost_mon --sweep "iocost min=100;iocost min=25;iolatency"
- *              [--device ...] [--faults ...] [--seconds N]
- *              [--seed N] [--job ...] [--every N] [--out FILE]
+ *              [scenario flags] [--every N] [--out FILE]
  *
  * Fleet mode replays the §4.8 migration studies with telemetry on,
  * writing one JSONL record per telemetry sample prefixed with the
@@ -79,137 +74,16 @@
 #include <string>
 #include <vector>
 
-#include "core/config_parse.hh"
-#include "device/device_profiles.hh"
-#include "device/hdd_model.hh"
-#include "device/remote_model.hh"
-#include "device/ssd_model.hh"
 #include "fleet/fleet_sim.hh"
-#include "host/config.hh"
-#include "host/host.hh"
+#include "host/scenario.hh"
 #include "host/sweep.hh"
-#include "profile/device_profiler.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "stat/telemetry.hh"
-#include "workload/buffered_io.hh"
-#include "workload/fio_workload.hh"
 
 namespace {
 
 using namespace iocost;
-
-struct JobSpec
-{
-    std::string name = "job";
-    uint32_t weight = 100;
-    workload::FioConfig fio;
-    /** Route through the page cache instead of the block layer. */
-    bool buffered = false;
-    uint32_t fsyncEvery = 0;
-    uint64_t spanBytes = 0;
-};
-
-/** Parse "name:key=value:..." (same grammar as iocost_sim). */
-JobSpec
-parseJob(const std::string &arg)
-{
-    JobSpec job;
-    size_t pos = 0;
-    bool first = true;
-    while (pos <= arg.size()) {
-        const size_t colon = arg.find(':', pos);
-        const std::string part =
-            arg.substr(pos, colon == std::string::npos
-                                ? std::string::npos
-                                : colon - pos);
-        if (first) {
-            job.name = part;
-            first = false;
-        } else {
-            const size_t eq = part.find('=');
-            if (eq == std::string::npos)
-                sim::fatal("bad job attribute: " + part);
-            const std::string key = part.substr(0, eq);
-            const std::string value = part.substr(eq + 1);
-            if (key == "weight") {
-                job.weight =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "depth") {
-                job.fio.iodepth =
-                    static_cast<unsigned>(std::stoul(value));
-            } else if (key == "bs") {
-                job.fio.blockSize =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "rw") {
-                job.fio.readFraction = value == "read"    ? 1.0
-                                       : value == "write" ? 0.0
-                                                          : 0.5;
-            } else if (key == "pattern") {
-                job.fio.randomFraction =
-                    value == "seq" ? 0.0 : 1.0;
-            } else if (key == "rate") {
-                job.fio.arrival = workload::Arrival::Rate;
-                job.fio.ratePerSec = std::stod(value);
-            } else if (key == "buffered") {
-                job.buffered = std::stoul(value) != 0;
-            } else if (key == "fsync") {
-                job.fsyncEvery =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "span") {
-                job.spanBytes = std::stoull(value);
-            } else {
-                sim::fatal("unknown job key: " + key);
-            }
-        }
-        if (colon == std::string::npos)
-            break;
-        pos = colon + 1;
-    }
-    return job;
-}
-
-std::unique_ptr<blk::BlockDevice>
-makeDevice(const std::string &name, sim::Simulator &sim,
-           core::LinearModelConfig &model_out)
-{
-    auto ssd = [&](const device::SsdSpec &spec) {
-        model_out =
-            profile::DeviceProfiler::profileSsd(spec).model;
-        return std::make_unique<device::SsdModel>(sim, spec);
-    };
-    if (name == "oldgen")
-        return ssd(device::oldGenSsd());
-    if (name == "newgen")
-        return ssd(device::newGenSsd());
-    if (name == "enterprise")
-        return ssd(device::enterpriseSsd());
-    if (name == "hdd") {
-        model_out = profile::DeviceProfiler::profileHdd(
-                        device::nearlineHdd())
-                        .model;
-        return std::make_unique<device::HddModel>(
-            sim, device::nearlineHdd());
-    }
-    const device::RemoteSpec *remote = nullptr;
-    static const device::RemoteSpec gp3 = device::awsGp3();
-    static const device::RemoteSpec io2 = device::awsIo2();
-    static const device::RemoteSpec pdb = device::gcpBalanced();
-    static const device::RemoteSpec pds = device::gcpSsd();
-    if (name == "gp3")
-        remote = &gp3;
-    else if (name == "io2")
-        remote = &io2;
-    else if (name == "pd-balanced")
-        remote = &pdb;
-    else if (name == "pd-ssd")
-        remote = &pds;
-    if (remote) {
-        model_out =
-            profile::DeviceProfiler::profileRemote(*remote).model;
-        return std::make_unique<device::RemoteModel>(sim, *remote);
-    }
-    sim::fatal("unknown device: " + name);
-}
 
 /** One planning period reassembled from the record stream. */
 struct Period
@@ -329,109 +203,35 @@ printPeriods(const std::vector<Period> &periods,
     }
 }
 
-int
-runSingleHost(const std::string &device_name,
-              const std::string &controller,
-              const std::string &model_line,
-              const std::string &qos_line,
-              const std::string &faults_spec, double seconds,
-              uint64_t seed, std::vector<JobSpec> jobs,
-              uint64_t pagecache_bytes, double dirty_ratio_pct,
-              unsigned every, bool detail,
-              const std::string &out_path)
+/** --out FILE: every record of @p ring as JSONL (no-op without). */
+void
+writeRecords(const stat::RingSink &ring, const std::string &out_path)
 {
-    sim::Simulator sim(seed);
-    core::LinearModelConfig model;
-    auto device = makeDevice(device_name, sim, model);
+    if (out_path.empty())
+        return;
+    stat::JsonlSink out(out_path);
+    if (!out.ok())
+        sim::fatal("cannot write " + out_path);
+    for (const stat::Record &r : ring.records())
+        out.emit(r);
+    out.flush();
+    std::printf("wrote %zu records to %s\n", ring.records().size(),
+                out_path.c_str());
+}
 
-    if (!model_line.empty()) {
-        const auto parsed = core::parseModelLine(model_line);
-        if (!parsed)
-            sim::fatal("bad --model line");
-        model = *parsed;
-    }
-
-    const auto spec = controllers::parseControllerSpec(controller);
-    if (!spec)
-        sim::fatal("bad --controller spec: " + controller);
-
+int
+runSingleHost(const host::ScenarioSpec &sc, unsigned every,
+              bool detail, const std::string &out_path)
+{
+    sim::Simulator sim(sc.seed);
     stat::RingSink ring;
-
-    host::HostOptions opts;
-    opts.controller = *spec;
-    opts.controller.iocost.model =
-        core::CostModel::fromConfig(model);
-    opts.controller.iocost.qos.vrateMin = 0.5;
-    opts.controller.iocost.qos.vrateMax = 1.0;
-    if (!qos_line.empty()) {
-        const auto parsed = core::parseQosLine(qos_line);
-        if (!parsed)
-            sim::fatal("bad --qos line");
-        opts.controller.iocost.qos = *parsed;
-    }
-    opts.telemetrySink = &ring;
-    opts.telemetryDetail = detail;
-    opts.faults = faults_spec;
-
-    // Buffered jobs need a page cache; default one in when the
-    // size was left implicit (same policy as iocost_sim).
-    bool any_buffered = false;
-    for (const JobSpec &job : jobs)
-        any_buffered = any_buffered || job.buffered;
-    if (any_buffered && pagecache_bytes == 0)
-        pagecache_bytes = 512ull << 20;
-    if (pagecache_bytes != 0) {
-        opts.enablePageCache = true;
-        opts.pageCacheConfig.cacheBytes = pagecache_bytes;
-        if (dirty_ratio_pct > 0.0) {
-            opts.pageCacheConfig.dirtyRatio =
-                dirty_ratio_pct / 100.0;
-            opts.pageCacheConfig.dirtyBackgroundRatio =
-                dirty_ratio_pct / 200.0;
-        }
-    }
-
-    host::Host host(sim, std::move(device), opts);
-
-    if (jobs.empty()) {
-        jobs.push_back(parseJob("web:weight=200:depth=32"));
-        jobs.push_back(parseJob("batch:weight=100:depth=32"));
-    }
+    host::ScenarioHost scenario(sim, sc, &ring, detail);
+    host::Host &host = scenario.host();
 
     std::printf("device=%s controller=%s seconds=%.1f seed=%llu\n",
-                device_name.c_str(), spec->name.c_str(), seconds,
-                static_cast<unsigned long long>(seed));
-
-    std::vector<std::unique_ptr<workload::FioWorkload>> running;
-    std::vector<std::unique_ptr<workload::BufferedWorkload>>
-        buffered;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        JobSpec &js = jobs[j];
-        const auto cg = host.addWorkload(js.name, js.weight);
-        js.fio.offsetBase = j << 40;
-        if (js.buffered) {
-            workload::BufferedConfig bc;
-            bc.name = js.name;
-            bc.readFraction = js.fio.readFraction;
-            bc.randomFraction = js.fio.randomFraction;
-            bc.blockSize = js.fio.blockSize;
-            bc.offsetBase = js.fio.offsetBase;
-            bc.fsyncEvery = js.fsyncEvery;
-            bc.depth = js.fio.iodepth;
-            if (js.spanBytes != 0)
-                bc.spanBytes = js.spanBytes;
-            buffered.push_back(
-                std::make_unique<workload::BufferedWorkload>(
-                    sim, host.pageCache(), cg, bc));
-            buffered.back()->start();
-        } else {
-            running.push_back(
-                std::make_unique<workload::FioWorkload>(
-                    sim, host.layer(), cg, js.fio));
-            running.back()->start();
-        }
-    }
-    sim.runUntil(static_cast<sim::Time>(seconds * sim::kSec));
+                sc.device.c_str(), scenario.controller().name.c_str(),
+                sc.seconds, static_cast<unsigned long long>(sc.seed));
+    sim.runUntil(sc.duration());
 
     const auto &records = ring.records();
     const auto periods = collectPeriods(
@@ -453,17 +253,7 @@ runSingleHost(const std::string &device_name,
         std::printf("%zu planning periods, %zu records\n",
                     periods.size(), records.size());
     }
-
-    if (!out_path.empty()) {
-        stat::JsonlSink out(out_path);
-        if (!out.ok())
-            sim::fatal("cannot write " + out_path);
-        for (const stat::Record &r : records)
-            out.emit(r);
-        out.flush();
-        std::printf("wrote %zu records to %s\n", records.size(),
-                    out_path.c_str());
-    }
+    writeRecords(ring, out_path);
     return 0;
 }
 
@@ -477,62 +267,18 @@ runSingleHost(const std::string &device_name,
  * forked and at the period it re-fused.
  */
 int
-runHostSweep(const std::string &device_name,
-             const std::string &sweep_arg,
-             const std::string &model_line,
-             const std::string &faults_spec, double seconds,
-             uint64_t seed, std::vector<JobSpec> jobs,
-             unsigned every, const std::string &out_path)
+runHostSweep(const host::ScenarioSpec &sc,
+             const std::vector<std::string> &specs, unsigned every,
+             const std::string &out_path)
 {
-    std::vector<std::string> specs;
-    for (size_t pos = 0; pos <= sweep_arg.size();) {
-        size_t semi = sweep_arg.find(';', pos);
-        if (semi == std::string::npos)
-            semi = sweep_arg.size();
-        if (semi > pos)
-            specs.push_back(sweep_arg.substr(pos, semi - pos));
-        pos = semi + 1;
-    }
-    if (specs.empty())
-        sim::fatal("--sweep needs at least one controller spec");
-
-    // Profile the device's cost model up front: the runner applies
-    // tweakSpec while parsing specs, before any device exists.
-    core::LinearModelConfig model;
-    {
-        sim::Simulator probe(seed);
-        (void)makeDevice(device_name, probe, model);
-    }
-    if (!model_line.empty()) {
-        const auto parsed = core::parseModelLine(model_line);
-        if (!parsed)
-            sim::fatal("bad --model line");
-        model = *parsed;
-    }
-
-    if (jobs.empty()) {
-        jobs.push_back(parseJob("web:weight=200:depth=32"));
-        jobs.push_back(parseJob("batch:weight=100:depth=32"));
-    }
-
     stat::RingSink ring;
-    host::SweepOptions opts;
-    opts.specs = specs;
-    opts.faults = faults_spec;
+    host::SweepOptions opts = host::scenarioSweep(sc, specs);
     opts.generatorSink = &ring;
-    opts.makeDevice = [&device_name](sim::Simulator &sim) {
-        core::LinearModelConfig scratch;
-        return makeDevice(device_name, sim, scratch);
-    };
-    const core::CostModel cost = core::CostModel::fromConfig(model);
-    opts.tweakSpec = [cost](const std::string &,
-                            controllers::ControllerSpec &spec) {
-        spec.iocost.model = cost;
-    };
+    const std::vector<host::JobSpec> jobs = sc.parsedJobs();
 
     std::printf("device=%s sweep K=%zu seconds=%.1f seed=%llu\n",
-                device_name.c_str(), specs.size(), seconds,
-                static_cast<unsigned long long>(seed));
+                sc.device.c_str(), specs.size(), sc.seconds,
+                static_cast<unsigned long long>(sc.seed));
 
     struct LaneRow
     {
@@ -543,23 +289,11 @@ runHostSweep(const std::string &device_name,
     };
     double fraction = -1.0;
     const auto rows = host::runSweep(
-        std::move(opts), seed, 1,
-        [&jobs, seconds](sim::Simulator &sim,
-                         host::SweepRunner &runner) {
-            std::vector<std::unique_ptr<workload::FioWorkload>>
-                running;
-            for (size_t j = 0; j < jobs.size(); ++j) {
-                JobSpec js = jobs[j];
-                const auto cg =
-                    runner.addWorkload(js.name, js.weight);
-                js.fio.offsetBase = j << 40;
-                running.push_back(
-                    std::make_unique<workload::FioWorkload>(
-                        sim, runner.layer(), cg, js.fio));
-                running.back()->start();
-            }
-            sim.runUntil(
-                static_cast<sim::Time>(seconds * sim::kSec));
+        opts, sc.seed, 1,
+        [&jobs, &sc](sim::Simulator &sim, host::SweepRunner &runner) {
+            const auto running =
+                host::startSweepJobs(sim, runner, jobs);
+            sim.runUntil(sc.duration());
         },
         [&fraction](host::SweepRunner &runner, size_t lane,
                     size_t) {
@@ -649,17 +383,7 @@ runHostSweep(const std::string &device_name,
                         rows[c].writes),
                     rows[c].p50Us, rows[c].p99Us);
     }
-
-    if (!out_path.empty()) {
-        stat::JsonlSink out(out_path);
-        if (!out.ok())
-            sim::fatal("cannot write " + out_path);
-        for (const stat::Record &r : ring.records())
-            out.emit(r);
-        out.flush();
-        std::printf("wrote %zu records to %s\n",
-                    ring.records().size(), out_path.c_str());
-    }
+    writeRecords(ring, out_path);
     return 0;
 }
 
@@ -815,15 +539,7 @@ renderWhatifStream(const std::string &text)
 int
 runFleetIn(const std::string &in_path)
 {
-    FILE *f = std::fopen(in_path.c_str(), "r");
-    if (!f)
-        sim::fatal("cannot read " + in_path);
-    std::string text;
-    char buf[65536];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
+    const std::string text = sim::specArgument("@" + in_path);
 
     // Sweep documents embed per-config aggregates (each with its
     // own marker), so sniff the sweep wrapper first.
@@ -917,74 +633,37 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
     // engine: constant memory, aggregate rendering.
     if (!scenario.empty() && scenario != "fig18" &&
         scenario != "fig19") {
-        std::string spec_text = scenario;
-        if (scenario[0] == '@') {
-            FILE *f = std::fopen(scenario.c_str() + 1, "r");
-            if (!f)
-                sim::fatal("cannot read scenario file " +
-                           scenario.substr(1));
-            spec_text.clear();
-            char buf[4096];
-            size_t n;
-            while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-                spec_text.append(buf, n);
-            std::fclose(f);
-        } else if (scenario.find('=') == std::string::npos) {
+        if (scenario[0] != '@' &&
+            scenario.find('=') == std::string::npos) {
             sim::fatal("unknown --scenario (fig18|fig19, a "
                        "FleetScenario spec, or @file): " +
                        scenario);
         }
-        fleet::FleetScenario sc;
-        try {
-            sc = fleet::FleetScenario::parse(spec_text);
-        } catch (const std::invalid_argument &err) {
-            sim::fatal(err.what());
-        }
+        fleet::FleetScenario sc =
+            fleet::FleetScenario::parse(sim::specArgument(scenario));
         if (!cfg.faults.empty())
             sc.faults = cfg.faults;
         fleet::RunOptions run_opts;
         run_opts.jobs = jobs;
         run_opts.shards = shards;
         std::printf("fleet scenario: %s\n", sc.canonical().c_str());
-        if (!sc.sweep.empty()) {
-            std::vector<fleet::FleetAggregate> aggs;
-            try {
-                aggs = fleet::FleetSim::runScenarioSweep(sc,
-                                                         run_opts);
-            } catch (const std::exception &err) {
-                sim::fatal(err.what());
-            }
-            fleet::SweepView view;
-            view.labels = sc.sweep;
-            for (size_t c = 0; c < aggs.size(); ++c) {
-                view.entries.push_back(
-                    fleet::AggregateView::from(aggs[c]));
+        const fleet::SweepView view =
+            fleet::FleetSim::runScenarioView(sc, run_opts);
+        for (size_t c = 0; c < view.entries.size(); ++c) {
+            if (!view.labels.empty()) {
                 std::printf("\nconfig[%zu]: %s\n", c,
-                            sc.sweep[c].c_str());
-                renderAggregate(view.entries.back());
+                            view.labels[c].c_str());
             }
-            if (!out_path.empty()) {
-                FILE *out = std::fopen(out_path.c_str(), "w");
-                if (!out)
-                    sim::fatal("cannot write " + out_path);
-                fleet::writeSweepJson(view, out);
-                std::fclose(out);
-                std::printf("wrote sweep to %s\n",
-                            out_path.c_str());
-            }
-            return 0;
+            renderAggregate(view.entries[c]);
         }
-        const fleet::FleetAggregate agg =
-            fleet::FleetSim::runScenario(sc, run_opts);
-        const auto view = fleet::AggregateView::from(agg);
-        renderAggregate(view);
         if (!out_path.empty()) {
             FILE *out = std::fopen(out_path.c_str(), "w");
             if (!out)
                 sim::fatal("cannot write " + out_path);
-            fleet::writeAggregateJson(view, out);
+            fleet::writeViewJson(view, out);
             std::fclose(out);
-            std::printf("wrote aggregate to %s\n",
+            std::printf("wrote %s to %s\n",
+                        view.labels.empty() ? "aggregate" : "sweep",
                         out_path.c_str());
         }
         return 0;
@@ -1058,17 +737,11 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
 int
 main(int argc, char **argv)
 {
-    std::string device_name = "newgen";
-    std::string controller = "iocost";
-    std::string model_line, qos_line, out_path, scenario;
-    std::string faults_spec, sweep_arg;
-    double seconds = 5.0;
-    uint64_t seed = 42;
-    uint64_t pagecache_bytes = 0;
-    double dirty_ratio_pct = 0.0;
+    host::ScenarioSpec sc;
+    sc.seconds = 5.0;
+    std::string out_path, scenario, sweep_arg;
     unsigned every = 0;
     bool detail = false;
-    std::vector<JobSpec> jobs;
     bool fleet_mode = false;
     fleet::FleetConfig fleet_cfg;
     // Replay default: a slice of the fleet large enough to cover
@@ -1084,105 +757,68 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                sim::fatal(arg + " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--device") {
-            device_name = next();
-        } else if (arg == "--controller") {
-            controller = next();
-        } else if (arg == "--sweep") {
-            sweep_arg = next();
-        } else if (arg == "--model") {
-            model_line = next();
-        } else if (arg == "--qos") {
-            qos_line = next();
-        } else if (arg == "--faults") {
-            faults_spec = next();
-        } else if (arg == "--seconds") {
-            seconds = std::stod(next());
-        } else if (arg == "--seed") {
-            seed = std::stoull(next());
-        } else if (arg == "--job") {
-            jobs.push_back(parseJob(next()));
-        } else if (arg == "--pagecache") {
-            const auto v = host::parseSize(next());
-            if (!v)
-                sim::fatal("bad --pagecache size");
-            pagecache_bytes = *v;
-        } else if (arg == "--dirty-ratio") {
-            dirty_ratio_pct = std::stod(next());
-            if (dirty_ratio_pct < 0.0 || dirty_ratio_pct > 100.0)
-                sim::fatal("--dirty-ratio must be in [0, 100]");
-        } else if (arg == "--every") {
-            every = static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--detail") {
-            detail = true;
-        } else if (arg == "--out") {
-            out_path = next();
-        } else if (arg == "--fleet") {
-            fleet_mode = true;
-        } else if (arg == "--scenario") {
-            scenario = next();
-        } else if (arg == "--hosts") {
-            fleet_cfg.hosts =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--days") {
-            fleet_cfg.days =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--jobs") {
-            fleet_jobs =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--shards") {
-            fleet_shards =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--in") {
-            in_path = next();
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("see the header of tools/iocost_mon.cc\n");
-            return 0;
-        } else {
-            sim::fatal("unknown flag: " + arg);
-        }
-    }
-
-    // Validate the fault spec up front so both modes reject a bad
-    // --faults string before any simulation work happens.
-    if (!faults_spec.empty()) {
         try {
-            (void)sim::FaultPlan::parse(faults_spec);
+            if (host::readScenarioFlag(sc, argc, argv, i))
+                continue;
+            auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw std::invalid_argument("needs a value");
+                return argv[++i];
+            };
+            auto count = [&] {
+                return static_cast<unsigned>(sim::parseCount(next()));
+            };
+            if (arg == "--sweep") {
+                sweep_arg = next();
+            } else if (arg == "--every") {
+                every = count();
+            } else if (arg == "--detail") {
+                detail = true;
+            } else if (arg == "--out") {
+                out_path = next();
+            } else if (arg == "--fleet") {
+                fleet_mode = true;
+            } else if (arg == "--scenario") {
+                scenario = next();
+            } else if (arg == "--hosts") {
+                fleet_cfg.hosts = count();
+            } else if (arg == "--days") {
+                fleet_cfg.days = count();
+            } else if (arg == "--jobs") {
+                fleet_jobs = count();
+            } else if (arg == "--shards") {
+                fleet_shards = count();
+            } else if (arg == "--in") {
+                in_path = next();
+            } else if (arg == "--help" || arg == "-h") {
+                std::printf("see the header of tools/iocost_mon.cc\n");
+                return 0;
+            } else {
+                sim::fatal("unknown flag: " + arg);
+            }
         } catch (const std::invalid_argument &err) {
-            sim::fatal(err.what());
+            sim::fatal(arg + ": " + err.what());
         }
     }
 
-    if (!in_path.empty()) {
-        // Reader mode sniffs the document type itself, so --fleet
-        // is accepted but no longer required.
-        (void)fleet_mode;
-        return runFleetIn(in_path);
-    }
-    if (fleet_mode) {
-        fleet_cfg.faults = faults_spec;
-        return runFleet(scenario, fleet_cfg, fleet_jobs,
-                        fleet_shards, out_path);
-    }
-    if (!sweep_arg.empty()) {
-        for (const JobSpec &job : jobs) {
-            if (job.buffered) {
-                sim::fatal("buffered jobs are not supported under "
-                           "--sweep (the shadow-lane engine has no "
-                           "page cache)");
-            }
+    try {
+        host::finishScenarioFlags(sc);
+        if (!in_path.empty()) {
+            // Reader mode sniffs the document type itself, so
+            // --fleet is accepted but no longer required.
+            return runFleetIn(in_path);
         }
-        return runHostSweep(device_name, sweep_arg, model_line,
-                            faults_spec, seconds, seed,
-                            std::move(jobs), every, out_path);
+        if (fleet_mode) {
+            fleet_cfg.faults = sc.faults;
+            return runFleet(scenario, fleet_cfg, fleet_jobs,
+                            fleet_shards, out_path);
+        }
+        if (!sweep_arg.empty()) {
+            return runHostSweep(sc, controllers::splitSpecList(sweep_arg),
+                                every, out_path);
+        }
+        return runSingleHost(sc, every, detail, out_path);
+    } catch (const std::exception &err) {
+        sim::fatal(err.what());
     }
-    return runSingleHost(device_name, controller, model_line,
-                         qos_line, faults_spec, seconds, seed,
-                         std::move(jobs), pagecache_bytes,
-                         dirty_ratio_pct, every, detail, out_path);
 }

@@ -9,30 +9,17 @@
  * be copied verbatim from (or to) a real machine.
  *
  * Usage:
- *   iocost_sim [--device oldgen|newgen|enterprise|hdd|gp3|io2|
- *               pd-balanced|pd-ssd]
- *              [--controller "<spec>"]  a mechanism name (none,
- *               mq-deadline, kyber, bfq, blk-throttle, iolatency,
- *               iocost) optionally followed by key=value settings —
- *               see controllers::parseControllerSpec, e.g.
- *               "kyber rlat=1000 wlat=8000"
- *              [--model "<io.cost.model line>"]   (default: profile)
- *              [--qos "<io.cost.qos line>"]
- *              [--faults "<spec>"]  deterministic device fault plan
- *               (see sim::FaultPlan::parse), e.g.
- *               "lat@2s+1s=6,err@2s+1s=0.02,timeout=80ms"
+ *   iocost_sim [--device NAME] [--controller "<spec>"]
+ *              [--model "<io.cost.model line>"]
+ *              [--qos "<io.cost.qos line>"] [--faults "<spec>"]
  *              [--seconds N] [--seed N]
- *              [--pagecache SIZE]  per-host page cache (K/M/G
- *               suffixes); auto-set to 512M when any --job is
- *               buffered. Enables buffered jobs and writeback.
- *              [--dirty-ratio PCT]  hard dirty wall as a percent of
- *               the page cache (background threshold at half)
- *              [--job name:weight=W:depth=D:bs=B:rw=read|write|mixed
- *                         :pattern=rand|seq[:rate=R]
- *                         [:buffered=1][:fsync=N][:span=BYTES]] ...
- *               buffered=1 routes the job through the page cache
- *               (writes dirty pages, reads hit/miss the cache);
- *               fsync=N adds an fsync barrier every N writes
+ *              [--pagecache SIZE] [--dirty-ratio PCT]
+ *              [--job name:key=value:...] ...
+ *     The single-host scenario flags, shared with iocost_mon: each
+ *     sets the scenario key of the same name, and
+ *     src/host/scenario.hh documents them and the job grammar. A
+ *     buffered job with no --pagecache gets a 512M cache. The run
+ *     warms up for 10% of --seconds, then measures --seconds.
  *              [--whatif '{"q":...}']  one-shot what-if query
  *               against the scenario the flags above describe (see
  *               whatif/query.hh for the JSON grammar); prints one
@@ -54,7 +41,7 @@
  * host, through the sharded streaming engine (results are
  * byte-identical for any --jobs/--shards value):
  *   iocost_sim --fleet [--hosts N] [--days N] [--jobs N] [--seed N]
- *              [--shards N]
+ *              [--shards N] [--faults "<spec>"]
  *              [--scenario "<FleetScenario spec>"|@scenario.txt]
  *                 full scenario grammar (device/workload mixes,
  *                 staged migration) — see fleet/fleet_scenario.hh;
@@ -73,8 +60,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -82,658 +67,207 @@
 
 #include "core/config_parse.hh"
 #include "fleet/fleet_sim.hh"
-#include "host/config.hh"
-#include "host/device_factory.hh"
-#include "host/host.hh"
+#include "host/scenario.hh"
 #include "host/sweep.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "whatif/query.hh"
-#include "whatif/scenario.hh"
 #include "whatif/service.hh"
-#include "workload/buffered_io.hh"
-#include "workload/fio_workload.hh"
 
 namespace {
 
 using namespace iocost;
 
-struct JobSpec
+struct FleetArgs
 {
-    std::string name = "job";
-    uint32_t weight = 100;
-    workload::FioConfig fio;
-    /** Route through the page cache instead of the block layer. */
-    bool buffered = false;
-    uint32_t fsyncEvery = 0;
-    uint64_t spanBytes = 0;
+    fleet::FleetConfig cfg;
+    unsigned jobs = 1;
+    unsigned shards = 0;
+    std::string scenario;
+    std::string out;
 };
 
-/** Parse "name:key=value:..." into a JobSpec. */
-JobSpec
-parseJob(const std::string &arg)
-{
-    JobSpec job;
-    size_t pos = 0;
-    bool first = true;
-    while (pos <= arg.size()) {
-        const size_t colon = arg.find(':', pos);
-        const std::string part =
-            arg.substr(pos, colon == std::string::npos
-                                ? std::string::npos
-                                : colon - pos);
-        if (first) {
-            job.name = part;
-            first = false;
-        } else {
-            const size_t eq = part.find('=');
-            if (eq == std::string::npos)
-                sim::fatal("bad job attribute: " + part);
-            const std::string key = part.substr(0, eq);
-            const std::string value = part.substr(eq + 1);
-            if (key == "weight") {
-                job.weight =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "depth") {
-                job.fio.iodepth =
-                    static_cast<unsigned>(std::stoul(value));
-            } else if (key == "bs") {
-                job.fio.blockSize =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "rw") {
-                job.fio.readFraction = value == "read"    ? 1.0
-                                       : value == "write" ? 0.0
-                                                          : 0.5;
-            } else if (key == "pattern") {
-                job.fio.randomFraction =
-                    value == "seq" ? 0.0 : 1.0;
-            } else if (key == "rate") {
-                job.fio.arrival = workload::Arrival::Rate;
-                job.fio.ratePerSec = std::stod(value);
-            } else if (key == "buffered") {
-                job.buffered = std::stoul(value) != 0;
-            } else if (key == "fsync") {
-                job.fsyncEvery =
-                    static_cast<uint32_t>(std::stoul(value));
-            } else if (key == "span") {
-                job.spanBytes = std::stoull(value);
-            } else {
-                sim::fatal("unknown job key: " + key);
-            }
-        }
-        if (colon == std::string::npos)
-            break;
-        pos = colon + 1;
-    }
-    return job;
-}
-
-/** host::makeNamedDevice with the CLI's exit-on-error behaviour. */
-std::unique_ptr<blk::BlockDevice>
-makeDevice(const std::string &name, sim::Simulator &sim,
-           core::LinearModelConfig &model_out)
-{
-    try {
-        return host::makeNamedDevice(name, sim, &model_out);
-    } catch (const std::invalid_argument &err) {
-        sim::fatal(err.what());
-    }
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+runFleet(const host::ScenarioSpec &host_sc, FleetArgs args,
+         const std::string &sweep_arg)
 {
-    std::string device_name = "newgen";
-    std::string controller = "iocost";
-    bool controller_set = false;
-    std::string sweep_arg;
-    std::string model_line, qos_line, faults_spec;
-    double seconds = 10.0;
-    uint64_t seed = 42;
-    uint64_t pagecache_bytes = 0;
-    double dirty_ratio_pct = 0.0;
-    std::vector<JobSpec> jobs;
-    std::vector<std::string> job_args;
-    std::string whatif_arg;
-    bool fleet_mode = false;
-    fleet::FleetConfig fleet_cfg;
-    unsigned fleet_jobs = 1;
-    unsigned fleet_shards = 0;
-    std::string scenario_arg, out_path;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                sim::fatal(arg + " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--device") {
-            device_name = next();
-        } else if (arg == "--controller") {
-            controller = next();
-            controller_set = true;
-        } else if (arg == "--sweep") {
-            sweep_arg = next();
-        } else if (arg == "--model") {
-            model_line = next();
-        } else if (arg == "--qos") {
-            qos_line = next();
-        } else if (arg == "--faults") {
-            faults_spec = next();
-        } else if (arg == "--seconds") {
-            seconds = std::stod(next());
-        } else if (arg == "--seed") {
-            seed = std::stoull(next());
-        } else if (arg == "--pagecache") {
-            const auto v = host::parseSize(next());
-            if (!v)
-                sim::fatal("bad --pagecache size");
-            pagecache_bytes = *v;
-        } else if (arg == "--dirty-ratio") {
-            dirty_ratio_pct = std::stod(next());
-            if (dirty_ratio_pct < 0.0 || dirty_ratio_pct > 100.0)
-                sim::fatal("--dirty-ratio must be in [0, 100]");
-        } else if (arg == "--job") {
-            job_args.push_back(next());
-            jobs.push_back(parseJob(job_args.back()));
-        } else if (arg == "--whatif") {
-            whatif_arg = next();
-        } else if (arg == "--fleet") {
-            fleet_mode = true;
-        } else if (arg == "--hosts") {
-            fleet_cfg.hosts =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--days") {
-            fleet_cfg.days =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--jobs") {
-            fleet_jobs =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--shards") {
-            fleet_shards =
-                static_cast<unsigned>(std::stoul(next()));
-        } else if (arg == "--scenario") {
-            scenario_arg = next();
-        } else if (arg == "--out") {
-            out_path = next();
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("see the header of tools/iocost_sim.cc\n");
-            return 0;
-        } else {
-            sim::fatal("unknown flag: " + arg);
-        }
+    fleet::FleetScenario sc;
+    if (!args.scenario.empty()) {
+        sc = fleet::FleetScenario::parse(sim::specArgument(args.scenario));
+        if (!host_sc.faults.empty())
+            sc.faults = host_sc.faults;
+    } else {
+        args.cfg.seed = host_sc.seed;
+        args.cfg.faults = host_sc.faults;
+        sc = fleet::scenarioFromConfig(args.cfg);
     }
-    // Validate the fault spec up front: both modes should reject a
-    // bad --faults string before any simulation work happens.
-    if (!faults_spec.empty()) {
-        try {
-            (void)sim::FaultPlan::parse(faults_spec);
-        } catch (const std::invalid_argument &err) {
-            sim::fatal(err.what());
-        }
-    }
-    if (fleet_mode) {
-        fleet::FleetScenario sc;
-        if (!scenario_arg.empty()) {
-            std::string spec_text = scenario_arg;
-            if (scenario_arg[0] == '@') {
-                FILE *f = std::fopen(scenario_arg.c_str() + 1, "r");
-                if (!f) {
-                    sim::fatal("cannot read scenario file " +
-                               scenario_arg.substr(1));
-                }
-                spec_text.clear();
-                char buf[4096];
-                size_t n;
-                while ((n = std::fread(buf, 1, sizeof(buf), f)) >
-                       0) {
-                    spec_text.append(buf, n);
-                }
-                std::fclose(f);
-            }
-            try {
-                sc = fleet::FleetScenario::parse(spec_text);
-            } catch (const std::invalid_argument &err) {
-                sim::fatal(err.what());
-            }
-            if (!faults_spec.empty())
-                sc.faults = faults_spec;
-        } else {
-            fleet_cfg.seed = seed;
-            fleet_cfg.faults = faults_spec;
-            sc = fleet::scenarioFromConfig(fleet_cfg);
-        }
-        fleet::RunOptions run_opts;
-        run_opts.jobs = fleet_jobs;
-        run_opts.shards = fleet_shards;
-        if (!sweep_arg.empty())
-            sc.sweep = controllers::splitSpecList(sweep_arg);
-        if (!sc.sweep.empty()) {
-            std::printf("fleet: %s\n", sc.canonical().c_str());
-            std::vector<fleet::FleetAggregate> aggs;
-            try {
-                aggs = fleet::FleetSim::runScenarioSweep(sc,
-                                                         run_opts);
-            } catch (const std::exception &err) {
-                sim::fatal(err.what());
-            }
-            std::printf(
-                "engine: jobs=%u shards=%u host-days=%llu "
-                "x %zu configs\n",
-                aggs[0].jobs, aggs[0].shards,
-                static_cast<unsigned long long>(aggs[0].hostDays),
-                aggs.size());
-            std::printf("%-44s %10s %10s %10s %10s\n", "config",
-                        "fetchfail", "cleanfail", "fetch-p99",
-                        "clean-p99");
-            fleet::SweepView view;
-            view.labels = sc.sweep;
-            for (size_t c = 0; c < aggs.size(); ++c) {
-                const auto spec = controllers::parseControllerSpec(
-                    sc.sweep[c]);
-                const unsigned ctl =
-                    spec && spec->name == "iocost"
-                        ? fleet::kCtlIoCost
-                        : fleet::kCtlIoLatency;
-                unsigned ff = 0, cf = 0;
-                for (const auto &d : aggs[c].days) {
-                    ff += d.fetchFailures;
-                    cf += d.cleanupFailures;
-                }
-                view.entries.push_back(
-                    fleet::AggregateView::from(aggs[c]));
-                const auto &s = view.entries.back().ctl[ctl];
-                std::printf(
-                    "%-44s %10u %10u %8.1fms %8.1fms\n",
-                    sc.sweep[c].c_str(), ff, cf, s.fetchP99Ms,
-                    s.cleanupP99Ms);
-            }
-            if (!out_path.empty()) {
-                FILE *out = std::fopen(out_path.c_str(), "w");
-                if (!out)
-                    sim::fatal("cannot write " + out_path);
-                fleet::writeSweepJson(view, out);
-                std::fclose(out);
-                std::printf("wrote sweep to %s\n",
-                            out_path.c_str());
-            }
-            return 0;
-        }
-        std::printf("fleet: %s\n", sc.canonical().c_str());
-        const fleet::FleetAggregate agg =
-            fleet::FleetSim::runScenario(sc, run_opts);
-        std::printf("engine: jobs=%u shards=%u host-days=%llu\n",
-                    agg.jobs, agg.shards,
-                    static_cast<unsigned long long>(agg.hostDays));
-        std::printf("%5s %10s %10s %10s\n", "day", "on-iocost",
+    fleet::RunOptions run_opts;
+    run_opts.jobs = args.jobs;
+    run_opts.shards = args.shards;
+    if (!sweep_arg.empty())
+        sc.sweep = controllers::splitSpecList(sweep_arg);
+    std::printf("fleet: %s\n", sc.canonical().c_str());
+    const fleet::SweepView view =
+        fleet::FleetSim::runScenarioView(sc, run_opts);
+    const fleet::AggregateView &first = view.entries[0];
+    std::printf("engine: jobs=%u shards=%u host-days=%llu", first.jobs,
+                first.shards,
+                static_cast<unsigned long long>(first.hostDays));
+    if (view.labels.empty()) {
+        std::printf("\n%5s %10s %10s %10s\n", "day", "on-iocost",
                     "fetchfail", "cleanfail");
-        for (const auto &d : agg.days) {
+        for (const auto &d : first.perDay) {
             std::printf("%5u %9.0f%% %10u %10u\n", d.day,
-                        100.0 * d.fractionOnIoCost,
-                        d.fetchFailures, d.cleanupFailures);
+                        100.0 * d.fractionOnIoCost, d.fetchFailures,
+                        d.cleanupFailures);
         }
-        if (!out_path.empty()) {
-            FILE *out = std::fopen(out_path.c_str(), "w");
-            if (!out)
-                sim::fatal("cannot write " + out_path);
-            fleet::writeAggregateJson(
-                fleet::AggregateView::from(agg), out);
-            std::fclose(out);
-            std::printf("wrote aggregate to %s\n",
-                        out_path.c_str());
-        }
-        return 0;
-    }
-    if (!out_path.empty())
-        sim::fatal("--out is only meaningful with --fleet");
-    if (!scenario_arg.empty())
-        sim::fatal("--scenario is only meaningful with --fleet");
-    // Buffered jobs need a page cache; default one in when the
-    // size was left implicit (mirrors the fleet grammar).
-    bool any_buffered = false;
-    for (const JobSpec &job : jobs)
-        any_buffered = any_buffered || job.buffered;
-    if (any_buffered && pagecache_bytes == 0)
-        pagecache_bytes = 512ull << 20;
-    if (!whatif_arg.empty()) {
-        // One-shot what-if: assemble the scenario from the same
-        // flags a plain run uses and answer the query with a cold
-        // full re-run (no checkpoint machinery; byte-identical to
-        // the service's branch-and-replay answer).
-        if (!sweep_arg.empty())
-            sim::fatal("--whatif and --sweep are mutually "
-                       "exclusive");
-        whatif::Scenario wsc;
-        wsc.device = device_name;
-        wsc.controller = controller;
-        wsc.model = model_line;
-        wsc.qos = qos_line;
-        wsc.faults = faults_spec;
-        wsc.seconds = seconds;
-        wsc.seed = seed;
-        wsc.pagecacheBytes = pagecache_bytes;
-        wsc.dirtyRatioPct = dirty_ratio_pct;
-        wsc.jobs = job_args;
-        try {
-            wsc.normalize();
-            const auto q = whatif::Query::parse(whatif_arg);
-            std::printf(
-                "%s\n",
-                whatif::Service::evaluateCold(wsc, q).c_str());
-        } catch (const std::exception &err) {
-            sim::fatal(err.what());
-        }
-        return 0;
-    }
-    if (jobs.empty()) {
-        jobs.push_back(parseJob("web:weight=200:depth=32"));
-        jobs.push_back(parseJob("batch:weight=100:depth=32"));
-    }
-    // Keep jobs in disjoint regions (separate files).
-    for (size_t j = 0; j < jobs.size(); ++j)
-        jobs[j].fio.offsetBase = j << 40;
-
-    if (!sweep_arg.empty()) {
-        if (controller_set) {
-            sim::fatal(
-                "--sweep and --controller are mutually exclusive");
-        }
-        if (any_buffered) {
-            sim::fatal("buffered jobs are not supported under "
-                       "--sweep (the shadow-lane engine has no "
-                       "page cache)");
-        }
-        const std::vector<std::string> sweep_specs =
-            controllers::splitSpecList(sweep_arg);
-        if (sweep_specs.empty())
-            sim::fatal("--sweep: empty config list");
-        if (sweep_specs.size() == 1) {
-            // Degenerate sweep: the plain single-host path below is
-            // byte-identical (and has zero observation overhead).
-            controller = sweep_specs[0];
-        } else {
-            // Device cost model for iocost configs that carry no
-            // model keys, computed once from a throwaway probe (the
-            // profile cache also ends up warm for every worker).
-            core::LinearModelConfig model;
-            {
-                sim::Simulator probe(seed);
-                (void)makeDevice(device_name, probe, model);
+    } else {
+        std::printf(" x %zu configs\n", view.entries.size());
+        std::printf("%-44s %10s %10s %10s %10s\n", "config",
+                    "fetchfail", "cleanfail", "fetch-p99", "clean-p99");
+        for (size_t c = 0; c < view.entries.size(); ++c) {
+            const auto spec =
+                controllers::parseControllerSpec(view.labels[c]);
+            const unsigned ctl = spec && spec->name == "iocost"
+                                     ? fleet::kCtlIoCost
+                                     : fleet::kCtlIoLatency;
+            unsigned ff = 0, cf = 0;
+            for (const auto &d : view.entries[c].perDay) {
+                ff += d.fetchFailures;
+                cf += d.cleanupFailures;
             }
-            if (!model_line.empty()) {
-                const auto parsed = core::parseModelLine(model_line);
-                if (!parsed)
-                    sim::fatal("bad --model line");
-                model = *parsed;
-            }
-            std::optional<core::QosParams> qos_override;
-            if (!qos_line.empty()) {
-                qos_override = core::parseQosLine(qos_line);
-                if (!qos_override)
-                    sim::fatal("bad --qos line");
-            }
-
-            host::SweepOptions sopts;
-            sopts.specs = sweep_specs;
-            sopts.faults = faults_spec;
-            sopts.makeDevice = [&](sim::Simulator &s) {
-                core::LinearModelConfig scratch;
-                return makeDevice(device_name, s, scratch);
-            };
-            // Same defaulting as the plain path: the device profile
-            // and CLI --qos fill whatever each spec line leaves out.
-            // Keyed on the spec line only, so results cannot depend
-            // on how configs are partitioned across workers.
-            sopts.tweakSpec =
-                [&](const std::string &line,
-                    controllers::ControllerSpec &spec) {
-                    if (spec.name != "iocost")
-                        return;
-                    const std::string rest =
-                        controllers::iocostPayload(line);
-                    if (!core::parseModelLine(rest)) {
-                        spec.iocost.model =
-                            core::CostModel::fromConfig(model);
-                    }
-                    if (!core::parseQosLine(rest)) {
-                        spec.iocost.qos.vrateMin = 0.5;
-                        spec.iocost.qos.vrateMax = 1.0;
-                    }
-                    if (qos_override)
-                        spec.iocost.qos = *qos_override;
-                };
-
-            struct JobOut
-            {
-                double iops = 0, mbps = 0, p50us = 0, p99us = 0;
-            };
-            struct ConfigOut
-            {
-                bool isIocost = false;
-                double vrate = 0, periodMs = 0;
-                std::vector<JobOut> jobs;
-            };
-
-            const auto warmup =
-                static_cast<sim::Time>(0.1 * seconds * sim::kSec);
-            const auto measure =
-                static_cast<sim::Time>(seconds * sim::kSec);
-
-            auto body = [&](sim::Simulator &s,
-                            host::SweepRunner &runner) {
-                std::vector<std::unique_ptr<workload::FioWorkload>>
-                    running;
-                for (const JobSpec &job : jobs) {
-                    const auto cg =
-                        runner.addWorkload(job.name, job.weight);
-                    running.push_back(
-                        std::make_unique<workload::FioWorkload>(
-                            s, runner.layer(), cg, job.fio));
-                    running.back()->start();
-                }
-                s.runUntil(warmup);
-                runner.resetStats();
-                s.runUntil(warmup + measure);
-                for (auto &job : running)
-                    job->stop();
-            };
-            auto collect = [&](host::SweepRunner &runner,
-                               size_t lane, size_t) {
-                ConfigOut out;
-                blk::BlockLayer &layer = runner.laneLayer(lane);
-                for (const auto &wc : runner.workloadCgroups()) {
-                    const blk::CgroupIoStats &st =
-                        layer.stats(wc.second);
-                    JobOut jo;
-                    jo.iops = static_cast<double>(st.reads +
-                                                  st.writes) /
-                              seconds;
-                    jo.mbps = static_cast<double>(st.readBytes +
-                                                  st.writeBytes) /
-                              1e6 / seconds;
-                    jo.p50us = sim::toMicros(
-                        st.totalLatency.quantile(0.5));
-                    jo.p99us = sim::toMicros(
-                        st.totalLatency.quantile(0.99));
-                    out.jobs.push_back(jo);
-                }
-                if (core::IoCost *ioc = runner.laneIocost(lane)) {
-                    out.isIocost = true;
-                    out.vrate = ioc->vrate();
-                    out.periodMs = sim::toMillis(ioc->period());
-                }
-                return out;
-            };
-
-            std::vector<ConfigOut> results;
-            try {
-                results = host::runSweep(sopts, seed, fleet_jobs,
-                                         body, collect);
-            } catch (const std::exception &err) {
-                sim::fatal(err.what());
-            }
-
-            std::printf(
-                "device=%s sweep=%zu configs seconds=%.1f "
-                "seed=%llu (common random numbers)\n",
-                device_name.c_str(), results.size(), seconds,
-                static_cast<unsigned long long>(seed));
-            std::printf("io.cost.model: %s\n",
-                        core::formatModelLine(model).c_str());
-            for (size_t c = 0; c < results.size(); ++c) {
-                const ConfigOut &cfg = results[c];
-                std::printf("\nconfig[%zu]: %s\n", c,
-                            sweep_specs[c].c_str());
-                std::printf("%-12s %8s %10s %10s %10s %10s\n",
-                            "job", "weight", "IOPS", "MB/s", "p50",
-                            "p99");
-                for (size_t j = 0; j < cfg.jobs.size(); ++j) {
-                    std::printf("%-12s %8u %10.0f %10.1f %8.0fus "
-                                "%8.0fus\n",
-                                jobs[j].name.c_str(),
-                                jobs[j].weight, cfg.jobs[j].iops,
-                                cfg.jobs[j].mbps, cfg.jobs[j].p50us,
-                                cfg.jobs[j].p99us);
-                }
-                if (cfg.isIocost) {
-                    std::printf("vrate: %.0f%%  (planning period "
-                                "%.0fms)\n",
-                                100.0 * cfg.vrate, cfg.periodMs);
-                }
-            }
-            return 0;
+            const auto &s = view.entries[c].ctl[ctl];
+            std::printf("%-44s %10u %10u %8.1fms %8.1fms\n",
+                        view.labels[c].c_str(), ff, cf, s.fetchP99Ms,
+                        s.cleanupP99Ms);
         }
     }
+    if (!args.out.empty()) {
+        FILE *out = std::fopen(args.out.c_str(), "w");
+        if (!out)
+            sim::fatal("cannot write " + args.out);
+        fleet::writeViewJson(view, out);
+        std::fclose(out);
+        std::printf("wrote %s to %s\n",
+                    view.labels.empty() ? "aggregate" : "sweep",
+                    args.out.c_str());
+    }
+    return 0;
+}
 
-    sim::Simulator sim(seed);
+constexpr const char *kJobHeader =
+    "job            weight       IOPS       MB/s        p50        p99\n";
+
+/** One row of the per-job table under kJobHeader. */
+std::string
+jobRow(const host::JobSpec &job, double iops, double mbps,
+       const stat::Histogram &lat)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "%-12s %8u %10.0f %10.1f %8.0fus %8.0fus\n",
+                  job.name.c_str(), job.weight, iops, mbps,
+                  sim::toMicros(lat.quantile(0.5)),
+                  sim::toMicros(lat.quantile(0.99)));
+    return buf;
+}
+
+/** Multi-config CRN sweep of one scenario (K >= 2 configs). */
+int
+runHostSweep(const host::ScenarioSpec &sc,
+             const std::vector<std::string> &specs, unsigned jobs)
+{
     core::LinearModelConfig model;
-    auto device = makeDevice(device_name, sim, model);
+    const host::SweepOptions sopts =
+        host::scenarioSweep(sc, specs, &model);
+    const std::vector<host::JobSpec> job_specs = sc.parsedJobs();
+    const auto warmup =
+        static_cast<sim::Time>(0.1 * sc.seconds * sim::kSec);
+    const auto measure = static_cast<sim::Time>(sc.seconds * sim::kSec);
 
-    if (!model_line.empty()) {
-        const auto parsed = core::parseModelLine(model_line);
-        if (!parsed)
-            sim::fatal("bad --model line");
-        model = *parsed;
-    }
-
-    const auto spec = controllers::parseControllerSpec(controller);
-    if (!spec)
-        sim::fatal("bad --controller spec: " + controller);
-
-    host::HostOptions opts;
-    opts.controller = *spec;
-    opts.faults = faults_spec;
-    if (pagecache_bytes != 0) {
-        opts.enablePageCache = true;
-        opts.pageCacheConfig.cacheBytes = pagecache_bytes;
-        if (dirty_ratio_pct > 0.0) {
-            opts.pageCacheConfig.dirtyRatio =
-                dirty_ratio_pct / 100.0;
-            opts.pageCacheConfig.dirtyBackgroundRatio =
-                dirty_ratio_pct / 200.0;
+    auto body = [&](sim::Simulator &s, host::SweepRunner &runner) {
+        const auto running = host::startSweepJobs(s, runner, job_specs);
+        s.runUntil(warmup);
+        runner.resetStats();
+        s.runUntil(warmup + measure);
+        for (auto &job : running)
+            job->stop();
+    };
+    auto collect = [&](host::SweepRunner &runner, size_t lane, size_t) {
+        std::string out;
+        blk::BlockLayer &layer = runner.laneLayer(lane);
+        const auto &cgs = runner.workloadCgroups();
+        for (size_t j = 0; j < cgs.size(); ++j) {
+            const blk::CgroupIoStats &st = layer.stats(cgs[j].second);
+            out += jobRow(
+                job_specs[j],
+                static_cast<double>(st.reads + st.writes) / sc.seconds,
+                static_cast<double>(st.readBytes + st.writeBytes) / 1e6 /
+                    sc.seconds,
+                st.totalLatency);
         }
-    }
-    // The iocost settings a bare mechanism name leaves at their
-    // struct defaults come from the device profile and the
-    // --model/--qos kernel-format lines instead; a spec line that
-    // carries its own model/qos keys wins over the profile.
-    const std::string spec_rest =
-        controllers::iocostPayload(controller);
-    if (!core::parseModelLine(spec_rest)) {
-        opts.controller.iocost.model =
-            core::CostModel::fromConfig(model);
-    }
-    if (!core::parseQosLine(spec_rest)) {
-        opts.controller.iocost.qos.vrateMin = 0.5;
-        opts.controller.iocost.qos.vrateMax = 1.0;
-    }
-    if (!qos_line.empty()) {
-        const auto parsed = core::parseQosLine(qos_line);
-        if (!parsed)
-            sim::fatal("bad --qos line");
-        opts.controller.iocost.qos = *parsed;
-    }
+        if (core::IoCost *ioc = runner.laneIocost(lane)) {
+            char buf[96];
+            std::snprintf(buf, sizeof buf,
+                          "vrate: %.0f%%  (planning period %.0fms)\n",
+                          100.0 * ioc->vrate(),
+                          sim::toMillis(ioc->period()));
+            out += buf;
+        }
+        return out;
+    };
 
-    host::Host host(sim, std::move(device), opts);
+    const std::vector<std::string> results =
+        host::runSweep(sopts, sc.seed, jobs, body, collect);
 
-    std::printf("device=%s controller=%s seconds=%.1f seed=%llu\n",
-                device_name.c_str(), spec->name.c_str(), seconds,
-                static_cast<unsigned long long>(seed));
+    std::printf("device=%s sweep=%zu configs seconds=%.1f "
+                "seed=%llu (common random numbers)\n",
+                sc.device.c_str(), results.size(), sc.seconds,
+                static_cast<unsigned long long>(sc.seed));
     std::printf("io.cost.model: %s\n",
                 core::formatModelLine(model).c_str());
-    if (spec->name == "iocost") {
+    for (size_t c = 0; c < results.size(); ++c) {
+        std::printf("\nconfig[%zu]: %s\n%s%s", c, specs[c].c_str(),
+                    kJobHeader, results[c].c_str());
+    }
+    return 0;
+}
+
+/** One host: warm up 10%, then measure for the scenario's seconds. */
+int
+runHost(const host::ScenarioSpec &sc)
+{
+    sim::Simulator sim(sc.seed);
+    host::ScenarioHost scenario(sim, sc);
+    host::Host &host = scenario.host();
+    const controllers::ControllerSpec &ctl = scenario.controller();
+
+    std::printf("device=%s controller=%s seconds=%.1f seed=%llu\n",
+                sc.device.c_str(), ctl.name.c_str(), sc.seconds,
+                static_cast<unsigned long long>(sc.seed));
+    std::printf("io.cost.model: %s\n",
+                core::formatModelLine(scenario.model()).c_str());
+    if (ctl.name == "iocost") {
         std::printf("io.cost.qos:   %s\n",
-                    core::formatQosLine(opts.controller.iocost.qos)
-                        .c_str());
+                    core::formatQosLine(ctl.iocost.qos).c_str());
     }
 
-    // One slot per job: direct jobs run FioWorkloads, buffered jobs
-    // run BufferedWorkloads through the host's page cache.
-    std::vector<std::unique_ptr<workload::FioWorkload>> running(
-        jobs.size());
-    std::vector<std::unique_ptr<workload::BufferedWorkload>>
-        buffered(jobs.size());
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        JobSpec &spec = jobs[j];
-        const auto cg = host.addWorkload(spec.name, spec.weight);
-        if (spec.buffered) {
-            workload::BufferedConfig bc;
-            bc.name = spec.name;
-            bc.readFraction = spec.fio.readFraction;
-            bc.randomFraction = spec.fio.randomFraction;
-            bc.blockSize = spec.fio.blockSize;
-            bc.offsetBase = spec.fio.offsetBase;
-            bc.fsyncEvery = spec.fsyncEvery;
-            bc.depth = spec.fio.iodepth;
-            if (spec.spanBytes != 0)
-                bc.spanBytes = spec.spanBytes;
-            buffered[j] =
-                std::make_unique<workload::BufferedWorkload>(
-                    sim, host.pageCache(), cg, bc);
-            buffered[j]->start();
-        } else {
-            running[j] =
-                std::make_unique<workload::FioWorkload>(
-                    sim, host.layer(), cg, spec.fio);
-            running[j]->start();
-        }
-    }
-
-    // Warmup 10%, then measure. Host::resetStats is the one
-    // documented stats boundary; workload counters reset with it.
     const auto warmup =
-        static_cast<sim::Time>(0.1 * seconds * sim::kSec);
+        static_cast<sim::Time>(0.1 * sc.seconds * sim::kSec);
     sim.runUntil(warmup);
-    host.resetStats();
-    for (auto &job : running) {
-        if (job)
-            job->resetStats();
-    }
-    for (auto &job : buffered) {
-        if (job)
-            job->resetStats();
-    }
-    sim.runUntil(warmup + static_cast<sim::Time>(
-                              seconds * sim::kSec));
+    scenario.resetStats();
+    sim.runUntil(warmup + static_cast<sim::Time>(sc.seconds * sim::kSec));
 
-    std::printf("\n%-12s %8s %10s %10s %10s %10s\n", "job",
-                "weight", "IOPS", "MB/s", "p50", "p99");
+    std::printf("\n%s", kJobHeader);
+    const std::vector<host::JobSpec> &jobs = scenario.jobs();
     for (size_t j = 0; j < jobs.size(); ++j) {
-        const double iops = running[j] ? running[j]->iops()
-                                       : buffered[j]->iops();
-        const stat::Histogram &lat = running[j]
-                                         ? running[j]->latency()
-                                         : buffered[j]->latency();
-        std::printf(
-            "%-12s %8u %10.0f %10.1f %8.0fus %8.0fus\n",
-            jobs[j].name.c_str(), jobs[j].weight, iops,
-            iops * jobs[j].fio.blockSize / 1e6,
-            sim::toMicros(lat.quantile(0.5)),
-            sim::toMicros(lat.quantile(0.99)));
+        const double iops = scenario.iops(j);
+        std::printf("%s", jobRow(jobs[j], iops,
+                                 iops * jobs[j].fio.blockSize / 1e6,
+                                 scenario.latency(j))
+                              .c_str());
     }
-    if (pagecache_bytes != 0) {
+    if (host.hasPageCache()) {
         const mm::PageCache &pc = host.pageCache();
         std::printf("pagecache: dirty=%.1fM writeback-inflight="
                     "%.1fM cached=%.1fM\n",
@@ -742,8 +276,101 @@ main(int argc, char **argv)
     }
     if (auto *ioc = host.iocost()) {
         std::printf("\nvrate: %.0f%%  (planning period %.0fms)\n",
-                    100.0 * ioc->vrate(),
-                    sim::toMillis(ioc->period()));
+                    100.0 * ioc->vrate(), sim::toMillis(ioc->period()));
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    host::ScenarioSpec sc;
+    bool controller_set = false;
+    std::string sweep_arg, whatif_arg;
+    bool fleet_mode = false;
+    FleetArgs fleet_args;
+
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        try {
+            controller_set = controller_set || arg == "--controller";
+            if (host::readScenarioFlag(sc, argc, argv, i))
+                continue;
+            auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw std::invalid_argument("needs a value");
+                return argv[++i];
+            };
+            auto count = [&] {
+                return static_cast<unsigned>(sim::parseCount(next()));
+            };
+            if (arg == "--sweep") {
+                sweep_arg = next();
+            } else if (arg == "--whatif") {
+                whatif_arg = next();
+            } else if (arg == "--fleet") {
+                fleet_mode = true;
+            } else if (arg == "--hosts") {
+                fleet_args.cfg.hosts = count();
+            } else if (arg == "--days") {
+                fleet_args.cfg.days = count();
+            } else if (arg == "--jobs") {
+                fleet_args.jobs = count();
+            } else if (arg == "--shards") {
+                fleet_args.shards = count();
+            } else if (arg == "--scenario") {
+                fleet_args.scenario = next();
+            } else if (arg == "--out") {
+                fleet_args.out = next();
+            } else if (arg == "--help" || arg == "-h") {
+                std::printf("see the header of tools/iocost_sim.cc\n");
+                return 0;
+            } else {
+                sim::fatal("unknown flag: " + arg);
+            }
+        } catch (const std::invalid_argument &err) {
+            sim::fatal(arg + ": " + err.what());
+        }
+    }
+
+    try {
+        host::finishScenarioFlags(sc);
+        if (fleet_mode)
+            return runFleet(sc, fleet_args, sweep_arg);
+        if (!fleet_args.out.empty())
+            sim::fatal("--out is only meaningful with --fleet");
+        if (!fleet_args.scenario.empty())
+            sim::fatal("--scenario is only meaningful with --fleet");
+        if (!whatif_arg.empty()) {
+            // One-shot what-if: answer the query with a cold full
+            // re-run of the flags' scenario (byte-identical to the
+            // service's branch-and-replay answer).
+            if (!sweep_arg.empty()) {
+                sim::fatal("--whatif and --sweep are mutually "
+                           "exclusive");
+            }
+            const auto q = whatif::Query::parse(whatif_arg);
+            std::printf("%s\n",
+                        whatif::Service::evaluateCold(sc, q).c_str());
+            return 0;
+        }
+        if (!sweep_arg.empty()) {
+            if (controller_set) {
+                sim::fatal(
+                    "--sweep and --controller are mutually exclusive");
+            }
+            const std::vector<std::string> specs =
+                controllers::splitSpecList(sweep_arg);
+            if (specs.size() != 1)
+                return runHostSweep(sc, specs, fleet_args.jobs);
+            // Degenerate sweep: the plain single-host path is
+            // byte-identical (and has zero observation overhead).
+            sc.controller = specs[0];
+        }
+        return runHost(sc);
+    } catch (const std::exception &err) {
+        sim::fatal(err.what());
+    }
 }
