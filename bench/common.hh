@@ -10,10 +10,13 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "sim/time.hh"
 
 namespace iocost::bench {
@@ -31,10 +34,12 @@ namespace iocost::bench {
  *   --check-allocs   run the CI allocation gate instead of / in
  *                    addition to the timed run
  *   --max-hosts N    cap the largest scaling step (perf_fleet)
+ *   --help           print this flag list and exit
  *
- * Unknown flags are ignored so wrappers can pass extras through.
- * Layout knobs (jobs/shards/faults) report to stderr so stdout
- * stays diffable across layouts.
+ * An unknown flag or a malformed number is fatal before anything
+ * runs, so a typo cannot start a long run (or overwrite a tracked
+ * BENCH file) with defaults. Layout knobs (jobs/shards/faults)
+ * report to stderr so stdout stays diffable across layouts.
  */
 struct BenchArgs
 {
@@ -50,24 +55,35 @@ parseArgs(int argc, char **argv)
 {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const char *val = i + 1 < argc ? argv[i + 1] : "";
-        if (std::strcmp(arg, "--jobs") == 0) {
-            args.jobs = static_cast<unsigned>(
-                std::strtoul(val, nullptr, 10));
-            ++i;
-        } else if (std::strcmp(arg, "--shards") == 0) {
-            args.shards = static_cast<unsigned>(
-                std::strtoul(val, nullptr, 10));
-            ++i;
-        } else if (std::strcmp(arg, "--faults") == 0) {
-            args.faults = val;
-            ++i;
-        } else if (std::strcmp(arg, "--max-hosts") == 0) {
-            args.maxHosts = std::strtoull(val, nullptr, 10);
-            ++i;
-        } else if (std::strcmp(arg, "--check-allocs") == 0) {
-            args.checkAllocs = true;
+        const std::string arg = argv[i];
+        try {
+            auto next = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    throw std::invalid_argument("needs a value");
+                return argv[++i];
+            };
+            if (arg == "--jobs") {
+                args.jobs = static_cast<unsigned>(sim::parseCount(next()));
+            } else if (arg == "--shards") {
+                args.shards =
+                    static_cast<unsigned>(sim::parseCount(next()));
+            } else if (arg == "--faults") {
+                args.faults = next();
+            } else if (arg == "--max-hosts") {
+                args.maxHosts = sim::parseCount(next());
+            } else if (arg == "--check-allocs") {
+                args.checkAllocs = true;
+            } else if (arg == "--help" || arg == "-h") {
+                std::printf("usage: %s [--jobs N] [--shards N] "
+                            "[--faults SPEC] [--check-allocs] "
+                            "[--max-hosts N]\n",
+                            argv[0]);
+                std::exit(0);
+            } else {
+                throw std::invalid_argument("unknown flag");
+            }
+        } catch (const std::invalid_argument &err) {
+            sim::fatal(arg + ": " + err.what());
         }
     }
     std::fprintf(stderr, "jobs=%u%s\n", args.jobs,

@@ -7,8 +7,9 @@
  * (scaled) package to disk under a deadline while the main workload
  * hammers the device; the host runs IOLatency before its staggered
  * migration day and IOCost after. Daily failure counts across the
- * fleet reproduce the paper's shape: the failure rate steps down
- * roughly 10x as the region migrates.
+ * fleet (the kFig18Spec scenario) reproduce the paper's shape: the
+ * failure rate steps down several-fold as the region migrates
+ * (paper: ~10x).
  */
 
 #include "bench/common.hh"
@@ -19,6 +20,9 @@ main(int argc, char **argv)
 {
     using namespace iocost;
 
+    // Results are byte-identical for any --jobs/--shards value; the
+    // default uses every hardware thread.
+    const bench::BenchArgs args = bench::parseArgs(argc, argv);
     bench::banner(
         "Figure 18: Package fetching failures during the "
         "IOLatency -> IOCost migration",
@@ -26,15 +30,10 @@ main(int argc, char **argv)
         "hosts migrate.\nExpected shape: high plateau before, "
         "roughly 10x lower after.");
 
-    fleet::FleetConfig cfg;
-    cfg.seed = 1818;
-    // Results are byte-identical for any --jobs/--shards value; the
-    // default uses every hardware thread.
-    const bench::BenchArgs args = bench::parseArgs(argc, argv);
     fleet::RunOptions opts;
     opts.jobs = args.jobs;
     opts.shards = args.shards;
-    fleet::FleetScenario sc = fleet::scenarioFromConfig(cfg);
+    fleet::FleetScenario sc = fleet::FleetScenario::parse(fleet::kFig18Spec);
     if (!args.faults.empty())
         sc.faults = args.faults;
     const fleet::FleetAggregate agg =

@@ -3,10 +3,11 @@
  * Figure 19: Container-cleanup failures during the IOLatency ->
  * IOCost migration.
  *
- * Same fleet Monte-Carlo as Fig. 18, reporting the host-critical
- * container agent's cleanup walks that exceed the (scaled) stall
- * threshold. Expected shape: a roughly 3x reduction as the region
- * migrates, taking effect immediately per migrated host.
+ * Same fleet Monte-Carlo as Fig. 18 under its own seed (the
+ * kFig19Spec scenario), reporting the host-critical container
+ * agent's cleanup walks that exceed the (scaled) stall threshold.
+ * Expected shape: a roughly 3x reduction as the region migrates,
+ * taking effect immediately per migrated host.
  */
 
 #include "bench/common.hh"
@@ -17,6 +18,9 @@ main(int argc, char **argv)
 {
     using namespace iocost;
 
+    // Results are byte-identical for any --jobs/--shards value; the
+    // default uses every hardware thread.
+    const bench::BenchArgs args = bench::parseArgs(argc, argv);
     bench::banner(
         "Figure 19: Container cleanup failures during the "
         "IOLatency -> IOCost migration",
@@ -24,15 +28,10 @@ main(int argc, char **argv)
         "over the stall\nthreshold per day. Expected shape: ~3x "
         "fewer after migration.");
 
-    fleet::FleetConfig cfg;
-    cfg.seed = 1919;
-    // Results are byte-identical for any --jobs/--shards value; the
-    // default uses every hardware thread.
-    const bench::BenchArgs args = bench::parseArgs(argc, argv);
     fleet::RunOptions opts;
     opts.jobs = args.jobs;
     opts.shards = args.shards;
-    fleet::FleetScenario sc = fleet::scenarioFromConfig(cfg);
+    fleet::FleetScenario sc = fleet::FleetScenario::parse(fleet::kFig19Spec);
     if (!args.faults.empty())
         sc.faults = args.faults;
     const fleet::FleetAggregate agg =

@@ -428,34 +428,21 @@ compare(int reps, CurFn cur, LegFn leg)
     return Comparison{median(c), median(l), median(ratio)};
 }
 
-/** Fleet config matching the determinism test's scale. */
-fleet::FleetConfig
-fleetConfig()
-{
-    fleet::FleetConfig cfg;
-    cfg.hosts = 8;
-    cfg.days = 6;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 5;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.seed = 2022;
-    return cfg;
-}
-
 double
 fleetRate(unsigned jobs)
 {
-    const fleet::FleetConfig cfg = fleetConfig();
+    // The Fig. 18 fleet at the determinism tests' scale.
+    const fleet::FleetScenario sc = fleet::FleetScenario::parse(
+        "hosts=8 days=6 seed=2022 migration=1..5 devices=oldgen,newgen "
+        "warmup=300ms slice=250ms fetch=2M cleanup=40");
+    fleet::RunOptions opts;
+    opts.jobs = jobs;
     const auto t0 = std::chrono::steady_clock::now();
-    const auto days = fleet::FleetSim::run(cfg, jobs);
+    const fleet::FleetAggregate agg = fleet::FleetSim::runScenario(sc, opts);
     const auto t1 = std::chrono::steady_clock::now();
-    if (days.size() != cfg.days)
+    if (agg.days.size() != sc.days)
         return 0.0; // should be impossible; poisons the JSON visibly
-    return static_cast<double>(cfg.hosts) * cfg.days /
-           seconds(t0, t1);
+    return static_cast<double>(sc.hosts) * sc.days / seconds(t0, t1);
 }
 
 // ---------------------------------------------------------------

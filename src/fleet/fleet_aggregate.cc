@@ -318,6 +318,44 @@ writeViewJson(const SweepView &view, FILE *out)
         writeSweepJson(view, out);
 }
 
+void
+renderView(const SweepView &view, FILE *out)
+{
+    for (size_t c = 0; c < view.entries.size(); ++c) {
+        if (!view.labels.empty())
+            fprintf(out, "\nconfig[%zu]: %s\n", c,
+                    view.labels[c].c_str());
+        const AggregateView &v = view.entries[c];
+        fprintf(out,
+                "fleet aggregate: hosts=%u days=%u host-days=%llu "
+                "(run with jobs=%u shards=%u)\n",
+                v.hosts, v.days,
+                static_cast<unsigned long long>(v.hostDays), v.jobs,
+                v.shards);
+        fprintf(out, "%-10s %12s %9s %9s %9s %12s %9s %9s %9s\n",
+                "controller", "fetch-done", "p50ms", "p99ms",
+                "meanms", "clean-done", "p50ms", "p99ms", "meanms");
+        for (unsigned ctl = 0; ctl < 2; ++ctl) {
+            const AggregateView::CtlSummary &s = v.ctl[ctl];
+            fprintf(out,
+                    "%-10s %12llu %9.2f %9.2f %9.2f %12llu %9.2f "
+                    "%9.2f %9.2f\n",
+                    kCtlNames[ctl],
+                    static_cast<unsigned long long>(s.fetchCount),
+                    s.fetchP50Ms, s.fetchP99Ms, s.fetchMeanMs,
+                    static_cast<unsigned long long>(s.cleanupCount),
+                    s.cleanupP50Ms, s.cleanupP99Ms, s.cleanupMeanMs);
+        }
+        fprintf(out, "%5s %10s %10s %10s %10s\n", "day", "on-iocost",
+                "fetchfail", "cleanfail", "attempts");
+        for (const FleetDayResult &d : v.perDay) {
+            fprintf(out, "%5u %9.0f%% %10u %10u %10u\n", d.day,
+                    100.0 * d.fractionOnIoCost, d.fetchFailures,
+                    d.cleanupFailures, d.fetchAttempts);
+        }
+    }
+}
+
 std::optional<SweepView>
 readSweepJson(const std::string &text)
 {

@@ -140,8 +140,8 @@ class ShardAccumulator
 
 /**
  * Rendered view of an aggregate — what the JSON carries and what
- * iocost_mon prints. Derived from a FleetAggregate or parsed back
- * from a file.
+ * the CLIs print. Derived from a FleetAggregate or parsed back from
+ * a file.
  */
 struct AggregateView
 {
@@ -171,7 +171,7 @@ void writeAggregateJson(const AggregateView &view, FILE *out);
 /**
  * Read an aggregate JSON document produced by writeAggregateJson.
  * @return nullopt when the buffer is not an aggregate document
- *         (e.g. legacy per-host JSONL).
+ *         (e.g. the per-host replay JSONL).
  */
 std::optional<AggregateView>
 readAggregateJson(const std::string &text);
@@ -193,6 +193,13 @@ void writeSweepJson(const SweepView &view, FILE *out);
 /** A sweep document when @p view has labels, else its single
  *  aggregate document. */
 void writeViewJson(const SweepView &view, FILE *out);
+
+/**
+ * Print @p view as the CLIs show it, from a run or a file: per
+ * aggregate (headed `config[i]: <label>` under a sweep) the
+ * per-controller agent-time summary and the per-day failure table.
+ */
+void renderView(const SweepView &view, FILE *out);
 
 /**
  * Read a sweep JSON document produced by writeSweepJson.

@@ -492,9 +492,6 @@ FleetScenario::migrationDay(unsigned host) const
 unsigned
 FleetScenario::deviceIndexFor(unsigned host) const
 {
-    if (deviceAssign == DeviceAssign::LegacyParity)
-        return host % static_cast<unsigned>(
-                          std::max<size_t>(1, devices.size()));
     if (devices.size() <= 1)
         return 0;
     std::vector<double> shares;
@@ -537,11 +534,9 @@ FleetScenario::workloadFor(unsigned host) const
 uint64_t
 FleetScenario::hostDaySeed(unsigned day, unsigned host) const
 {
-    if (seedMode == SeedMode::Legacy)
-        return seed * 1000003ull + day * 10007ull + host;
     // Three chained finalizer rounds decorrelate (seed, day, host)
-    // without the additive collisions the legacy polynomial hits
-    // past 10k hosts (day*10007 + host aliases across days).
+    // without the additive collisions a polynomial such as
+    // seed*1000003 + day*10007 + host hits past 10k hosts.
     return mix64(mix64(mix64(seed) ^ day) ^
                  (0x9E3779B97F4A7C15ull + host));
 }

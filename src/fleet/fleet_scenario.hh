@@ -60,6 +60,17 @@ enum class WorkloadKind : uint8_t
  *  "buffered". */
 const char *workloadKindName(WorkloadKind kind);
 
+/**
+ * The Fig. 18 and Fig. 19 migration studies (paper §4.8) as scenario
+ * specs: old- and new-generation SSD hosts half and half, every other
+ * key at its default — 60 hosts, 24 days, mixed workloads, migration
+ * staggered across days 6..18.
+ */
+inline constexpr const char *kFig18Spec =
+    "seed=1818 devices=oldgen,newgen";
+inline constexpr const char *kFig19Spec =
+    "seed=1919 devices=oldgen,newgen";
+
 /** One stage of the IOLatency -> IOCost migration plan. */
 struct MigrationStage
 {
@@ -143,40 +154,28 @@ struct FleetScenario
      *  memory streaming; used by the iocost_mon replay). */
     bool telemetry = false;
 
-    // Per-host-day slice knobs (same meanings as FleetConfig).
+    /** Wall length of one host-day sample slice (`slice=`). */
     sim::Time slice = 2 * sim::kSec;
+
+    /**
+     * Warmup before the agents start (`warmup=`): long enough that
+     * the main workload's write stream has drained the device's
+     * burst buffer (the contended regime the agents really run in).
+     */
     sim::Time warmup = 2500 * sim::kMsec;
+
+    /** Package fetch: bytes written by the system service
+     *  (`fetch=`), and the scaled stand-in for its timeout
+     *  (`fetch_deadline=`). */
     uint64_t fetchBytes = 16ull << 20;
     sim::Time fetchDeadline = 1 * sim::kSec;
+
+    /** Cleanup: small metadata operations (`cleanup=`) of
+     *  `cleanup_io=` bytes each, and the scaled stand-in for the 5s
+     *  cleanup threshold (`cleanup_deadline=`). */
     unsigned cleanupOps = 200;
     uint32_t cleanupIoBytes = 16 * 1024;
     sim::Time cleanupDeadline = 500 * sim::kMsec;
-
-    /**
-     * Host-day seed derivation. Mix uses a SplitMix64 finalizer
-     * over (seed, day, host) — collision-free at 100k+ hosts.
-     * Legacy reproduces the historical FleetConfig polynomial
-     * (seed*1000003 + day*10007 + host) so the fig18/19 replays
-     * stay byte-identical to previous releases.
-     */
-    enum class SeedMode : uint8_t
-    {
-        Mix,
-        Legacy
-    };
-    SeedMode seedMode = SeedMode::Mix;
-
-    /**
-     * Device assignment. Share draws a deterministic per-host
-     * sample against the mix shares; LegacyParity reproduces the
-     * historical host%2 oldgen/newgen split.
-     */
-    enum class DeviceAssign : uint8_t
-    {
-        Share,
-        LegacyParity
-    };
-    DeviceAssign deviceAssign = DeviceAssign::Share;
 
     /**
      * Test seam for the shard exception boundary: the slice at
@@ -214,7 +213,8 @@ struct FleetScenario
     /** Workload shape for this host. */
     WorkloadKind workloadFor(unsigned host) const;
 
-    /** RNG seed for one host-day slice (see SeedMode). */
+    /** RNG seed for one host-day slice: a SplitMix64 chain over
+     *  (seed, day, host), collision-free at 100k+ hosts. */
     uint64_t hostDaySeed(unsigned day, unsigned host) const;
 };
 

@@ -10,7 +10,6 @@
 #include "controllers/factory.hh"
 #include "controllers/io_latency.hh"
 #include "core/iocost.hh"
-#include "device/device_profiles.hh"
 #include "device/ssd_model.hh"
 #include "host/host.hh"
 #include "host/scenario.hh"
@@ -122,9 +121,8 @@ struct CleanupAgent
 /**
  * Main-workload shape for one host. Every kind runs a read job and
  * a write job; the kind decides their arrival processes and depths.
- * The `knobs` draws vary intensity per host-day; the Mixed branch
- * must consume the stream exactly as the pre-sharding code did so
- * legacy replays stay byte-identical.
+ * The `knobs` draws vary intensity per host-day; their order and
+ * count are part of every recorded fleet result.
  */
 void
 shapeWorkloads(WorkloadKind kind, sim::Rng &knobs,
@@ -174,50 +172,6 @@ shapeWorkloads(WorkloadKind kind, sim::Rng &knobs,
 }
 
 } // namespace
-
-FleetScenario
-scenarioFromConfig(const FleetConfig &cfg)
-{
-    FleetScenario sc;
-    sc.hosts = cfg.hosts;
-    sc.days = cfg.days;
-    sc.seed = cfg.seed;
-    sc.stages.clear();
-    sc.stages.push_back(MigrationStage{cfg.migrationStartDay,
-                                       cfg.migrationEndDay, 1.0});
-    sc.devices.clear();
-    sc.devices.push_back(
-        FleetScenario::DeviceShare{device::oldGenSsd(), 1.0});
-    sc.devices.push_back(
-        FleetScenario::DeviceShare{device::newGenSsd(), 1.0});
-    sc.workloads.clear();
-    sc.workloads.push_back(
-        FleetScenario::WorkloadShare{WorkloadKind::Mixed, 1.0});
-    sc.faults = cfg.faults;
-    sc.telemetry = cfg.telemetry;
-    sc.slice = cfg.slice;
-    sc.warmup = cfg.warmup;
-    sc.fetchBytes = cfg.fetchBytes;
-    sc.fetchDeadline = cfg.fetchDeadline;
-    sc.cleanupOps = cfg.cleanupOps;
-    sc.cleanupIoBytes = cfg.cleanupIoBytes;
-    sc.cleanupDeadline = cfg.cleanupDeadline;
-    // Byte-compat with the pre-scenario implementation: host%2
-    // device split and the historical polynomial slice seed.
-    sc.seedMode = FleetScenario::SeedMode::Legacy;
-    sc.deviceAssign = FleetScenario::DeviceAssign::LegacyParity;
-    return sc;
-}
-
-unsigned
-FleetSim::migrationDay(unsigned host, const FleetConfig &cfg)
-{
-    const unsigned span =
-        cfg.migrationEndDay - cfg.migrationStartDay;
-    if (span == 0 || cfg.hosts == 0)
-        return cfg.migrationStartDay;
-    return cfg.migrationStartDay + host * span / cfg.hosts;
-}
 
 HostDayOutcome
 FleetSim::runHostDay(const FleetScenario &sc,
@@ -364,27 +318,25 @@ FleetSim::runHostDay(const FleetScenario &sc,
     return out;
 }
 
-HostDayOutcome
-FleetSim::runHostDay(const std::string &controller, int host_kind,
-                     uint64_t seed, const FleetConfig &cfg)
-{
-    const device::SsdSpec spec =
-        host_kind == 0 ? device::oldGenSsd() : device::newGenSsd();
-    return runHostDay(scenarioFromConfig(cfg), spec,
-                      WorkloadKind::Mixed, controller, seed);
-}
+namespace {
 
-FleetAggregate
-FleetSim::runScenario(const FleetScenario &sc,
-                      const RunOptions &opts)
-{
-    return runScenario(sc, opts, nullptr);
-}
-
-FleetAggregate
-FleetSim::runScenario(const FleetScenario &sc,
-                      const RunOptions &opts,
-                      std::vector<HostDayOutcome> *outcomes_out)
+/**
+ * The sharded engine behind runScenario and runScenarioSweep. Hosts
+ * split into contiguous shards, each with K accumulators side by side
+ * (shard s, slot k at accs[s*K + k], so one host-day's K folds touch
+ * adjacent arenas). Workers steal whole shards; for every host-day of
+ * a shard's hosts, @p host_day(host, day, spec, kind, acc) runs the
+ * slice(s) and folds into acc[0..K). Returns the K merged aggregates.
+ *
+ * @param warm_profiles profile every device of the mix before the
+ *        workers start (whenever some slice runs iocost), so workers
+ *        do not all serialize on the profile cache's mutex; profiles
+ *        are cached and deterministic, so this never changes results.
+ */
+template <typename HostDay>
+std::vector<FleetAggregate>
+runShards(const FleetScenario &sc, const RunOptions &opts, size_t K,
+          bool warm_profiles, const HostDay &host_day)
 {
     // Resolve the execution layout. None of it affects any
     // aggregated byte — only scheduling granularity.
@@ -399,29 +351,16 @@ FleetSim::runScenario(const FleetScenario &sc,
     shards = std::max(1u, std::min(shards, std::max(1u, sc.hosts)));
     jobs = std::min(jobs, shards);
 
-    // Warm the shared device-profile cache up front so workers do
-    // not all serialize on its mutex for the first iocost slice.
-    // Profiles are cached and deterministic, so this never changes
-    // results.
-    bool any_migration = false;
-    for (const MigrationStage &st : sc.stages)
-        any_migration = any_migration || st.startDay < sc.days;
-    if (any_migration) {
+    if (warm_profiles) {
         for (const FleetScenario::DeviceShare &d : sc.devices)
             profile::DeviceProfiler::profileSsd(d.spec);
-    }
-
-    if (outcomes_out != nullptr) {
-        outcomes_out->clear();
-        outcomes_out->resize(static_cast<size_t>(sc.days) *
-                             sc.hosts);
     }
 
     // Per-shard arenas, constructed up front: the fold path inside
     // the workers performs no heap allocation.
     std::vector<ShardAccumulator> accs;
-    accs.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s)
+    accs.reserve(static_cast<size_t>(shards) * K);
+    for (size_t i = 0; i < static_cast<size_t>(shards) * K; ++i)
         accs.emplace_back(sc.days);
 
     // Shard s owns the contiguous host range [lo(s), lo(s+1)).
@@ -431,11 +370,10 @@ FleetSim::runScenario(const FleetScenario &sc,
     };
 
     auto run_shard = [&](unsigned s) {
-        ShardAccumulator &acc = accs[s];
+        ShardAccumulator *acc = &accs[static_cast<size_t>(s) * K];
         const unsigned lo = shard_lo(s);
         const unsigned hi = shard_lo(s + 1);
         for (unsigned h = lo; h < hi; ++h) {
-            const unsigned mig = sc.migrationDay(h);
             const device::SsdSpec &spec =
                 sc.devices[sc.deviceIndexFor(h) %
                            sc.devices.size()]
@@ -448,20 +386,11 @@ FleetSim::runScenario(const FleetScenario &sc,
                         std::to_string(day) + " host " +
                         std::to_string(h));
                 }
-                const bool on_iocost = day >= mig;
-                HostDayOutcome out = runHostDay(
-                    sc, spec, kind,
-                    on_iocost ? "iocost" : "iolatency",
-                    sc.hostDaySeed(day, h));
-                acc.fold(day, on_iocost, out);
-                if (outcomes_out != nullptr) {
-                    (*outcomes_out)[static_cast<size_t>(day) *
-                                        sc.hosts +
-                                    h] = std::move(out);
-                }
+                host_day(h, day, spec, kind, acc);
             }
         }
-        acc.finalizeSeries();
+        for (size_t k = 0; k < K; ++k)
+            acc[k].finalizeSeries();
     };
 
     // Workers steal whole shards from a shared counter. Exception
@@ -502,15 +431,58 @@ FleetSim::runScenario(const FleetScenario &sc,
             std::rethrow_exception(errors[s]);
     }
 
-    // Deterministic binary-tree merge by shard index. Every merged
-    // quantity is exact, so this yields bit-identical state no
-    // matter how the tree is shaped — the fixed shape just makes
-    // the reduction O(log shards) deep.
+    // Deterministic binary-tree merge by shard index, per slot.
+    // Every merged quantity is exact, so this yields bit-identical
+    // state no matter how the tree is shaped — the fixed shape just
+    // makes the reduction O(log shards) deep.
     for (unsigned stride = 1; stride < shards; stride *= 2) {
-        for (unsigned i = 0; i + stride < shards; i += 2 * stride)
-            accs[i].mergeFrom(accs[i + stride]);
+        for (unsigned i = 0; i + stride < shards; i += 2 * stride) {
+            for (size_t k = 0; k < K; ++k) {
+                accs[static_cast<size_t>(i) * K + k].mergeFrom(
+                    accs[(static_cast<size_t>(i) + stride) * K +
+                         k]);
+            }
+        }
     }
-    return accs[0].finish(sc.hosts, shards, jobs);
+    std::vector<FleetAggregate> out;
+    out.reserve(K);
+    for (size_t k = 0; k < K; ++k)
+        out.push_back(accs[k].finish(sc.hosts, shards, jobs));
+    return out;
+}
+
+} // namespace
+
+FleetAggregate
+FleetSim::runScenario(const FleetScenario &sc,
+                      const RunOptions &opts,
+                      std::vector<HostDayOutcome> *outcomes_out)
+{
+    if (outcomes_out != nullptr) {
+        outcomes_out->clear();
+        outcomes_out->resize(static_cast<size_t>(sc.days) *
+                             sc.hosts);
+    }
+    bool any_migration = false;
+    for (const MigrationStage &st : sc.stages)
+        any_migration = any_migration || st.startDay < sc.days;
+
+    auto host_day = [&](unsigned h, unsigned day,
+                        const device::SsdSpec &spec,
+                        WorkloadKind kind, ShardAccumulator *acc) {
+        const bool on_iocost = day >= sc.migrationDay(h);
+        HostDayOutcome out =
+            runHostDay(sc, spec, kind,
+                       on_iocost ? "iocost" : "iolatency",
+                       sc.hostDaySeed(day, h));
+        acc[0].fold(day, on_iocost, out);
+        if (outcomes_out != nullptr) {
+            (*outcomes_out)[static_cast<size_t>(day) * sc.hosts + h] =
+                std::move(out);
+        }
+    };
+    return std::move(
+        runShards(sc, opts, 1, any_migration, host_day).front());
 }
 
 SweepView
@@ -557,132 +529,19 @@ FleetSim::runScenarioSweep(const FleetScenario &sc,
         any_iocost = any_iocost || is_iocost[c];
     }
 
-    // Same layout resolution as runScenario; a host-day here is K
-    // slices, but shard granularity stays per-host.
-    unsigned jobs = opts.jobs == 0
-                        ? std::max(
-                              1u,
-                              std::thread::hardware_concurrency())
-                        : opts.jobs;
-    unsigned shards = opts.shards != 0 ? opts.shards : sc.shards;
-    if (shards == 0)
-        shards = jobs * 8;
-    shards = std::max(1u, std::min(shards, std::max(1u, sc.hosts)));
-    jobs = std::min(jobs, shards);
-
-    if (any_iocost) {
-        for (const FleetScenario::DeviceShare &d : sc.devices)
-            profile::DeviceProfiler::profileSsd(d.spec);
-    }
-
-    // Per-config accumulators fold side by side: shard s, config c
-    // lives at accs[s*K + c]. The arena block per shard is
-    // contiguous, so a worker's K folds for one host-day touch
-    // adjacent accumulators.
-    std::vector<ShardAccumulator> accs;
-    accs.reserve(static_cast<size_t>(shards) * K);
-    for (size_t i = 0; i < static_cast<size_t>(shards) * K; ++i)
-        accs.emplace_back(sc.days);
-
-    auto shard_lo = [&](unsigned s) {
-        return static_cast<unsigned>(
-            static_cast<uint64_t>(s) * sc.hosts / shards);
-    };
-
-    auto run_shard = [&](unsigned s) {
-        const unsigned lo = shard_lo(s);
-        const unsigned hi = shard_lo(s + 1);
-        for (unsigned h = lo; h < hi; ++h) {
-            const device::SsdSpec &spec =
-                sc.devices[sc.deviceIndexFor(h) %
-                           sc.devices.size()]
-                    .spec;
-            const WorkloadKind kind = sc.workloadFor(h);
-            for (unsigned day = 0; day < sc.days; ++day) {
-                if (day == sc.throwAtDay && h == sc.throwAtHost) {
-                    throw std::runtime_error(
-                        "fleet: injected slice failure at day " +
-                        std::to_string(day) + " host " +
-                        std::to_string(h));
-                }
-                // One seed for all K configs: the paired-run CRN.
-                const uint64_t seed = sc.hostDaySeed(day, h);
-                for (size_t c = 0; c < K; ++c) {
-                    const HostDayOutcome out = runHostDay(
-                        sc, spec, kind, sc.sweep[c], seed);
-                    accs[static_cast<size_t>(s) * K + c].fold(
-                        day, is_iocost[c], out);
-                }
-            }
-        }
-        for (size_t c = 0; c < K; ++c)
-            accs[static_cast<size_t>(s) * K + c].finalizeSeries();
-    };
-
-    // Same worker pool and exception discipline as runScenario.
-    std::vector<std::exception_ptr> errors(shards);
-    std::atomic<unsigned> next{0};
-    auto worker = [&] {
-        for (;;) {
-            const unsigned s =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (s >= shards)
-                return;
-            try {
-                run_shard(s);
-            } catch (...) {
-                errors[s] = std::current_exception();
-            }
+    // A host-day here is K slices, but shard granularity stays
+    // per-host.
+    auto host_day = [&](unsigned h, unsigned day,
+                        const device::SsdSpec &spec,
+                        WorkloadKind kind, ShardAccumulator *acc) {
+        // One seed for all K configs: the paired-run CRN.
+        const uint64_t seed = sc.hostDaySeed(day, h);
+        for (size_t c = 0; c < K; ++c) {
+            acc[c].fold(day, is_iocost[c],
+                        runHostDay(sc, spec, kind, sc.sweep[c], seed));
         }
     };
-
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs - 1);
-        for (unsigned t = 0; t + 1 < jobs; ++t)
-            pool.emplace_back(worker);
-        worker();
-        for (auto &t : pool)
-            t.join();
-    }
-    for (unsigned s = 0; s < shards; ++s) {
-        if (errors[s])
-            std::rethrow_exception(errors[s]);
-    }
-
-    // Per-config deterministic binary-tree merge over shards.
-    for (unsigned stride = 1; stride < shards; stride *= 2) {
-        for (unsigned i = 0; i + stride < shards; i += 2 * stride) {
-            for (size_t c = 0; c < K; ++c) {
-                accs[static_cast<size_t>(i) * K + c].mergeFrom(
-                    accs[(static_cast<size_t>(i) + stride) * K +
-                         c]);
-            }
-        }
-    }
-    std::vector<FleetAggregate> out;
-    out.reserve(K);
-    for (size_t c = 0; c < K; ++c)
-        out.push_back(accs[c].finish(sc.hosts, shards, jobs));
-    return out;
-}
-
-std::vector<FleetDayResult>
-FleetSim::run(const FleetConfig &cfg, unsigned jobs)
-{
-    return run(cfg, jobs, nullptr);
-}
-
-std::vector<FleetDayResult>
-FleetSim::run(const FleetConfig &cfg, unsigned jobs,
-              std::vector<HostDayOutcome> *outcomes_out)
-{
-    RunOptions opts;
-    opts.jobs = jobs;
-    return runScenario(scenarioFromConfig(cfg), opts, outcomes_out)
-        .days;
+    return runShards(sc, opts, K, any_iocost, host_day);
 }
 
 } // namespace iocost::fleet

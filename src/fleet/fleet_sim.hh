@@ -37,71 +37,6 @@
 
 namespace iocost::fleet {
 
-/** Fleet/migration configuration (legacy fig18/19 form; new code
- *  should prefer FleetScenario). */
-struct FleetConfig
-{
-    /** Hosts in the simulated region. */
-    unsigned hosts = 60;
-
-    /** Days simulated. */
-    unsigned days = 24;
-
-    /** Hosts migrate IOLatency -> IOCost staggered across
-     *  [migrationStartDay, migrationEndDay). */
-    unsigned migrationStartDay = 6;
-    unsigned migrationEndDay = 18;
-
-    /** Wall length of one host-day sample slice. */
-    sim::Time slice = 2 * sim::kSec;
-
-    /**
-     * Warmup before the agents start: long enough that the main
-     * workload's write stream has drained the device's burst buffer
-     * (the contended regime the agents really run in).
-     */
-    sim::Time warmup = 2500 * sim::kMsec;
-
-    /** Package fetch: bytes written by the system service. */
-    uint64_t fetchBytes = 16ull << 20;
-    /** Scaled stand-in for the fetch timeout. */
-    sim::Time fetchDeadline = 1 * sim::kSec;
-
-    /** Cleanup: number of small metadata operations. */
-    unsigned cleanupOps = 200;
-    uint32_t cleanupIoBytes = 16 * 1024;
-    /** Scaled stand-in for the 5s cleanup threshold. */
-    sim::Time cleanupDeadline = 500 * sim::kMsec;
-
-    /** Base RNG seed. */
-    uint64_t seed = 2022;
-
-    /**
-     * Capture per-slice telemetry (period-level records from the
-     * controller, block layer, and device) into
-     * HostDayOutcome::records. Off by default: the migration
-     * benches only need the aggregate counters.
-     */
-    bool telemetry = false;
-
-    /**
-     * Device fault spec applied to every host-day slice (see
-     * sim::FaultPlan::parse for the grammar; empty = healthy
-     * fleet). The plan seed is mixed with each slice's seed, so
-     * error draws decorrelate across hosts while the whole run
-     * stays byte-deterministic at any `jobs`.
-     */
-    std::string faults;
-};
-
-/**
- * Map a legacy FleetConfig onto the scenario form. The resulting
- * scenario uses SeedMode::Legacy and DeviceAssign::LegacyParity, so
- * runScenario() over it reproduces the historical fig18/19 runs
- * byte-for-byte.
- */
-FleetScenario scenarioFromConfig(const FleetConfig &cfg);
-
 /** Execution layout for runScenario(). */
 struct RunOptions
 {
@@ -124,18 +59,6 @@ struct RunOptions
 class FleetSim
 {
   public:
-    /**
-     * Run one host-day slice (legacy entry point).
-     *
-     * @param controller "iolatency" or "iocost".
-     * @param host_kind 0 = old-gen SSD host, 1 = new-gen SSD host.
-     * @param seed Determinism seed for this slice.
-     * @param cfg Fleet configuration (deadlines etc.).
-     */
-    static HostDayOutcome runHostDay(const std::string &controller,
-                                     int host_kind, uint64_t seed,
-                                     const FleetConfig &cfg);
-
     /**
      * Run one host-day slice of a scenario host.
      *
@@ -161,20 +84,16 @@ class FleetSim
      * drain, and after a clean join the exception from the
      * lowest-indexed failed shard is rethrown (deterministic
      * regardless of worker scheduling).
-     */
-    static FleetAggregate runScenario(const FleetScenario &sc,
-                                      const RunOptions &opts = {});
-
-    /**
-     * As runScenario(), additionally exposing every host-day
-     * outcome (indexed day * sc.hosts + host) so callers can
-     * serialize per-slice telemetry. This abandons constant memory
-     * — the grid is O(hosts * days) — and exists for the
-     * iocost_mon per-host replay path.
+     *
+     * @param outcomes_out when set, receives every host-day outcome
+     *        (indexed day * sc.hosts + host) so callers can
+     *        serialize per-slice telemetry. This abandons constant
+     *        memory — the grid is O(hosts * days) — and exists for
+     *        the iocost_mon per-host replay path.
      */
     static FleetAggregate
-    runScenario(const FleetScenario &sc, const RunOptions &opts,
-                std::vector<HostDayOutcome> *outcomes_out);
+    runScenario(const FleetScenario &sc, const RunOptions &opts = {},
+                std::vector<HostDayOutcome> *outcomes_out = nullptr);
 
     /**
      * Run a multi-config sweep through the sharded engine: every
@@ -212,31 +131,6 @@ class FleetSim
      */
     static SweepView runScenarioView(const FleetScenario &sc,
                                      const RunOptions &opts);
-
-    /**
-     * Run the full migration study (legacy entry point; wraps
-     * runScenario over scenarioFromConfig). Byte-identical to the
-     * pre-sharding implementation for any jobs value.
-     *
-     * @param jobs Worker threads; 1 = sequential in the calling
-     *             thread, 0 = one per hardware thread.
-     */
-    static std::vector<FleetDayResult> run(const FleetConfig &cfg,
-                                           unsigned jobs = 1);
-
-    /**
-     * As run(), additionally exposing every host-day outcome
-     * (indexed day * cfg.hosts + host) so callers can serialize
-     * per-slice telemetry. The outcome grid, like the day results,
-     * is byte-identical for any jobs value.
-     */
-    static std::vector<FleetDayResult>
-    run(const FleetConfig &cfg, unsigned jobs,
-        std::vector<HostDayOutcome> *outcomes_out);
-
-    /** Day a given host migrates (staggered across the window). */
-    static unsigned migrationDay(unsigned host,
-                                 const FleetConfig &cfg);
 };
 
 } // namespace iocost::fleet

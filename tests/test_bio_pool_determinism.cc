@@ -127,34 +127,24 @@ fig9Fingerprint()
     return fp;
 }
 
-/** Small-but-contended fleet config (mirrors the Fig. 18 bench). */
-fleet::FleetConfig
-tinyFleet()
-{
-    fleet::FleetConfig cfg;
-    cfg.hosts = 6;
-    cfg.days = 5;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 4;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.seed = 1818;
-    cfg.telemetry = true;
-    return cfg;
-}
-
 /**
- * Fig. 18-shaped run: the staged-migration fleet study with per-slice
- * telemetry capture, reduced to day results + the full outcome grid.
+ * Fig. 18-shaped run: the staged-migration fleet study (its preset at
+ * a small-but-contended scale) with per-slice telemetry capture,
+ * reduced to day results + the full outcome grid.
  */
 std::string
 fig18Fingerprint(unsigned jobs)
 {
-    const fleet::FleetConfig cfg = tinyFleet();
+    fleet::FleetScenario sc = fleet::FleetScenario::parse(
+        std::string(fleet::kFig18Spec) +
+        " hosts=6 days=5 migration=1..4 warmup=300ms slice=250ms "
+        "fetch=2M cleanup=40");
+    sc.telemetry = true;
+    fleet::RunOptions opts;
+    opts.jobs = jobs;
     std::vector<fleet::HostDayOutcome> outcomes;
-    const auto days = fleet::FleetSim::run(cfg, jobs, &outcomes);
+    const auto days =
+        fleet::FleetSim::runScenario(sc, opts, &outcomes).days;
 
     std::string fp;
     for (const fleet::FleetDayResult &d : days) {

@@ -4,7 +4,8 @@
  * replay byte-identically — across repeated runs, with the bio pool
  * bypassed, and through the parallel fleet runner at any worker
  * count — and a throwing slice (malformed fault spec) must
- * propagate out of FleetSim::run instead of terminating a worker.
+ * propagate out of FleetSim::runScenario instead of terminating a
+ * worker.
  */
 
 #include <gtest/gtest.h>
@@ -125,23 +126,25 @@ TEST(FaultDeterminism, PoolBypassDoesNotChangeOutcomes)
 }
 
 /** Small fleet whose slice window covers the fault windows. */
-fleet::FleetConfig
+fleet::FleetScenario
 faultyFleet()
 {
-    fleet::FleetConfig cfg;
-    cfg.hosts = 4;
-    cfg.days = 3;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 3;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.seed = 91;
-    cfg.telemetry = true;
-    cfg.faults =
-        "lat@350ms+100ms=3,err@350ms+150ms=0.08,timeout=40ms";
-    return cfg;
+    fleet::FleetScenario sc = fleet::FleetScenario::parse(
+        "hosts=4 days=3 seed=91 migration=1..3 devices=oldgen,newgen "
+        "warmup=300ms slice=250ms fetch=2M cleanup=40 "
+        "faults=lat@350ms+100ms=3,err@350ms+150ms=0.08,timeout=40ms");
+    sc.telemetry = true;
+    return sc;
+}
+
+/** runScenario at @p jobs workers, outcomes into @p grid. */
+std::vector<fleet::FleetDayResult>
+runFleet(const fleet::FleetScenario &sc, unsigned jobs,
+         std::vector<fleet::HostDayOutcome> *grid = nullptr)
+{
+    fleet::RunOptions opts;
+    opts.jobs = jobs;
+    return fleet::FleetSim::runScenario(sc, opts, grid).days;
 }
 
 void
@@ -169,10 +172,10 @@ expectOutcomesIdentical(const std::vector<fleet::HostDayOutcome> &a,
 
 TEST(FaultDeterminism, FleetWithFaultsIdenticalAtAnyJobs)
 {
-    const fleet::FleetConfig cfg = faultyFleet();
+    const fleet::FleetScenario sc = faultyFleet();
     std::vector<fleet::HostDayOutcome> seq, par;
-    const auto days_seq = fleet::FleetSim::run(cfg, 1, &seq);
-    const auto days_par = fleet::FleetSim::run(cfg, 4, &par);
+    const auto days_seq = runFleet(sc, 1, &seq);
+    const auto days_par = runFleet(sc, 4, &par);
 
     ASSERT_EQ(days_seq.size(), days_par.size());
     for (size_t i = 0; i < days_seq.size(); ++i) {
@@ -198,15 +201,14 @@ TEST(FaultDeterminism, FleetSliceExceptionPropagates)
     // each slice. Both the sequential and the parallel runner must
     // surface it as std::invalid_argument at the call site — a
     // throwing worker thread must not std::terminate the process.
-    fleet::FleetConfig cfg = faultyFleet();
-    cfg.hosts = 2;
-    cfg.days = 2;
-    cfg.telemetry = false;
-    cfg.faults = "err@oops";
-    EXPECT_THROW(fleet::FleetSim::run(cfg, 1),
-                 std::invalid_argument);
-    EXPECT_THROW(fleet::FleetSim::run(cfg, 4),
-                 std::invalid_argument);
+    fleet::FleetScenario sc = faultyFleet();
+    sc.hosts = 2;
+    sc.days = 2;
+    sc.telemetry = false;
+    // Set past the parser, which would reject the plan up front.
+    sc.faults = "err@oops";
+    EXPECT_THROW(runFleet(sc, 1), std::invalid_argument);
+    EXPECT_THROW(runFleet(sc, 4), std::invalid_argument);
 }
 
 } // namespace

@@ -1,15 +1,18 @@
 /**
  * @file
- * Determinism of the parallel fleet runner: FleetSim::run must
- * produce byte-identical results for any worker count, because every
- * host-day slice owns a private Simulator seeded only from
- * (cfg.seed, day, host) and the reduction runs in (day, host) order.
+ * Determinism of the parallel fleet runner: FleetSim::runScenario
+ * must produce byte-identical results for any worker count, because
+ * every host-day slice owns a private Simulator seeded only from
+ * (scenario seed, day, host) and the reduction runs in (day, host)
+ * order.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "fleet/fleet_scenario.hh"
 #include "fleet/fleet_sim.hh"
 
 namespace {
@@ -17,21 +20,22 @@ namespace {
 using namespace iocost;
 using namespace iocost::fleet;
 
-/** Small-but-contended config so the test runs in ~a second. */
-FleetConfig
-tinyFleet()
+/** Small-but-contended fleet so the test runs in ~a second. */
+FleetScenario
+tinyFleet(const std::string &size = "hosts=6 days=5 migration=1..4")
 {
-    FleetConfig cfg;
-    cfg.hosts = 6;
-    cfg.days = 5;
-    cfg.migrationStartDay = 1;
-    cfg.migrationEndDay = 4;
-    cfg.warmup = 300 * sim::kMsec;
-    cfg.slice = 250 * sim::kMsec;
-    cfg.fetchBytes = 2ull << 20;
-    cfg.cleanupOps = 40;
-    cfg.seed = 77;
-    return cfg;
+    return FleetScenario::parse(
+        size + " seed=77 devices=oldgen,newgen warmup=300ms "
+        "slice=250ms fetch=2M cleanup=40");
+}
+
+std::vector<FleetDayResult>
+runDays(const FleetScenario &sc, unsigned jobs, unsigned shards = 0)
+{
+    RunOptions opts;
+    opts.jobs = jobs;
+    opts.shards = shards;
+    return FleetSim::runScenario(sc, opts).days;
 }
 
 void
@@ -51,38 +55,33 @@ expectIdentical(const std::vector<FleetDayResult> &a,
 
 TEST(FleetParallel, FourJobsMatchSequential)
 {
-    const FleetConfig cfg = tinyFleet();
-    const auto seq = FleetSim::run(cfg, 1);
-    const auto par = FleetSim::run(cfg, 4);
-    expectIdentical(seq, par);
+    const FleetScenario sc = tinyFleet();
+    expectIdentical(runDays(sc, 1), runDays(sc, 4));
 }
 
 TEST(FleetParallel, NonDividingJobCountMatchesSequential)
 {
-    const FleetConfig cfg = tinyFleet();
-    const auto seq = FleetSim::run(cfg, 1);
-    const auto par = FleetSim::run(cfg, 3); // 30 slices, 3 workers
-    expectIdentical(seq, par);
+    const FleetScenario sc = tinyFleet();
+    // 3 workers over 5 shards of the 6 hosts.
+    expectIdentical(runDays(sc, 1), runDays(sc, 3, 5));
 }
 
 TEST(FleetParallel, MoreJobsThanSlicesIsSafe)
 {
-    FleetConfig cfg = tinyFleet();
-    cfg.hosts = 2;
-    cfg.days = 2;
-    const auto seq = FleetSim::run(cfg, 1);
-    const auto par = FleetSim::run(cfg, 64); // clamped to 4 slices
-    expectIdentical(seq, par);
+    const FleetScenario sc =
+        tinyFleet("hosts=2 days=2 migration=1..2");
+    // 64 workers, clamped to the 2 host shards.
+    expectIdentical(runDays(sc, 1), runDays(sc, 64));
 }
 
 TEST(FleetParallel, RunsProduceWork)
 {
     // Guard against the determinism tests passing vacuously on an
     // empty result.
-    const FleetConfig cfg = tinyFleet();
-    const auto days = FleetSim::run(cfg, 2);
-    ASSERT_EQ(days.size(), cfg.days);
-    EXPECT_EQ(days.front().fetchAttempts, cfg.hosts);
+    const FleetScenario sc = tinyFleet();
+    const auto days = runDays(sc, 2);
+    ASSERT_EQ(days.size(), sc.days);
+    EXPECT_EQ(days.front().fetchAttempts, sc.hosts);
     EXPECT_EQ(days.back().fractionOnIoCost, 1.0);
 }
 

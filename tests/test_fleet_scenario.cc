@@ -12,7 +12,6 @@
 #include <string>
 
 #include "fleet/fleet_scenario.hh"
-#include "fleet/fleet_sim.hh"
 
 namespace {
 
@@ -130,41 +129,17 @@ TEST(FleetScenario, RejectsMalformedSpecs)
                  std::invalid_argument);
 }
 
-TEST(FleetScenario, LegacyConfigMappingMatchesFleetSim)
-{
-    FleetConfig cfg;
-    cfg.hosts = 61; // non-dividing: exercises the stagger rounding
-    cfg.days = 24;
-    cfg.migrationStartDay = 6;
-    cfg.migrationEndDay = 18;
-    cfg.seed = 1818;
-    const FleetScenario sc = scenarioFromConfig(cfg);
-
-    ASSERT_EQ(sc.devices.size(), 2u);
-    EXPECT_EQ(sc.seedMode, FleetScenario::SeedMode::Legacy);
-    for (unsigned h = 0; h < cfg.hosts; ++h) {
-        EXPECT_EQ(sc.migrationDay(h),
-                  FleetSim::migrationDay(h, cfg));
-        // host%2 oldgen/newgen parity.
-        EXPECT_EQ(sc.deviceIndexFor(h), h % 2);
-    }
-    for (unsigned day = 0; day < cfg.days; day += 5) {
-        for (unsigned h = 0; h < cfg.hosts; h += 7) {
-            EXPECT_EQ(sc.hostDaySeed(day, h),
-                      cfg.seed * 1000003ull + day * 10007ull + h);
-        }
-    }
-}
-
 TEST(FleetScenario, MixSeedsCollisionFreeWhereLegacyCollides)
 {
-    FleetScenario sc = FleetScenario::parse("hosts=30000 days=4");
-    // The legacy polynomial aliases (day, host) pairs once
+    const FleetScenario sc = FleetScenario::parse("hosts=30000 days=4");
+    // A polynomial slice seed aliases (day, host) pairs once
     // host > 10007: (0, 10007) == (1, 0).
-    sc.seedMode = FleetScenario::SeedMode::Legacy;
-    EXPECT_EQ(sc.hostDaySeed(0, 10007), sc.hostDaySeed(1, 0));
+    auto polynomial = [&](unsigned day, unsigned host) {
+        return sc.seed * 1000003ull + day * 10007ull + host;
+    };
+    EXPECT_EQ(polynomial(0, 10007), polynomial(1, 0));
+    EXPECT_NE(sc.hostDaySeed(0, 10007), sc.hostDaySeed(1, 0));
 
-    sc.seedMode = FleetScenario::SeedMode::Mix;
     std::set<uint64_t> seen;
     for (unsigned day = 0; day < sc.days; ++day) {
         for (unsigned h = 0; h < sc.hosts; h += 3)

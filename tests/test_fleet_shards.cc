@@ -1,9 +1,9 @@
 /**
  * @file
  * Sharded fleet engine: byte-identical streaming aggregates for any
- * (jobs, shards) layout — including the legacy fig18/19 configs —
- * plus the per-shard exception boundary and the outcome-grid
- * consistency of the replay path.
+ * (jobs, shards) layout — including the fig18/19 presets — plus the
+ * per-shard exception boundary and the outcome-grid consistency of
+ * the replay path.
  */
 
 #include <gtest/gtest.h>
@@ -75,9 +75,21 @@ runWith(const FleetScenario &sc, unsigned jobs, unsigned shards)
 TEST(FleetShards, AggregateByteIdenticalAcrossLayouts)
 {
     const FleetScenario sc = smallScenario();
-    const std::string ref = aggPayload(runWith(sc, 1, 1));
-    const unsigned combos[][2] = {
-        {1, 4}, {2, 3}, {4, 9}, {3, 7}, {4, 1}};
+    const FleetAggregate ref_agg = runWith(sc, 1, 1);
+    // The reference did the work, so equality below is not vacuous:
+    // every host ran every day and the migration landed.
+    ASSERT_EQ(ref_agg.days.size(), sc.days);
+    for (const FleetDayResult &d : ref_agg.days)
+        EXPECT_EQ(d.fetchAttempts, sc.hosts);
+    EXPECT_EQ(ref_agg.days.front().fractionOnIoCost, 0.0);
+    EXPECT_GT(ref_agg.days.back().fractionOnIoCost, 0.0);
+    const std::string ref = aggPayload(ref_agg);
+    // {jobs, shards}. Shards 0 is the auto policy (8 per worker,
+    // clamped to the 9 hosts): jobs 3 does not divide it, and jobs
+    // 64 asks for more workers than there are shards.
+    const unsigned combos[][2] = {{1, 4}, {2, 3}, {4, 9}, {3, 7},
+                                  {4, 1}, {1, 0}, {3, 0}, {4, 0},
+                                  {64, 0}};
     for (const auto &c : combos) {
         const FleetAggregate agg = runWith(sc, c[0], c[1]);
         EXPECT_EQ(agg.hostDays, 9u * 4u);
@@ -141,38 +153,17 @@ TEST(FleetShards, MomentsBitIdenticalAcrossLayouts)
 
 TEST(FleetShards, LegacyFigConfigsByteIdenticalAcrossLayouts)
 {
-    // Scaled-down fig18/fig19 shapes (their seeds, their staged
-    // window) through the legacy mapping: scenarioFromConfig keeps
-    // the historical seeds and host parity, so these cover the
-    // byte-compat path the real fig benches ride.
-    for (const uint64_t seed : {1818ull, 1919ull}) {
-        FleetConfig cfg;
-        cfg.hosts = 6;
-        cfg.days = 5;
-        cfg.migrationStartDay = 1;
-        cfg.migrationEndDay = 4;
-        cfg.warmup = 50 * sim::kMsec;
-        cfg.slice = 50 * sim::kMsec;
-        cfg.fetchBytes = 1ull << 20;
-        cfg.cleanupOps = 20;
-        cfg.seed = seed;
-        const FleetScenario sc = scenarioFromConfig(cfg);
+    // The fig18/fig19 presets (their seeds, their old/new-gen device
+    // split), scaled down to a 6-host, 5-day fleet.
+    for (const char *preset : {kFig18Spec, kFig19Spec}) {
+        const FleetScenario sc = FleetScenario::parse(
+            std::string(preset) +
+            " hosts=6 days=5 migration=1..4 warmup=50ms slice=50ms "
+            "fetch=1M cleanup=20");
         const std::string ref = aggPayload(runWith(sc, 1, 1));
-        EXPECT_EQ(aggPayload(runWith(sc, 4, 6)), ref);
-        EXPECT_EQ(aggPayload(runWith(sc, 2, 5)), ref);
-
-        // And the wrapper's day results equal the engine's.
-        const auto days = FleetSim::run(cfg, 3);
-        const FleetAggregate agg = runWith(sc, 1, 2);
-        ASSERT_EQ(days.size(), agg.days.size());
-        for (size_t i = 0; i < days.size(); ++i) {
-            EXPECT_EQ(days[i].fetchFailures,
-                      agg.days[i].fetchFailures);
-            EXPECT_EQ(days[i].cleanupFailures,
-                      agg.days[i].cleanupFailures);
-            EXPECT_EQ(days[i].fractionOnIoCost,
-                      agg.days[i].fractionOnIoCost);
-        }
+        EXPECT_EQ(aggPayload(runWith(sc, 4, 6)), ref) << preset;
+        EXPECT_EQ(aggPayload(runWith(sc, 2, 5)), ref) << preset;
+        EXPECT_EQ(aggPayload(runWith(sc, 3, 0)), ref) << preset;
     }
 }
 
@@ -268,7 +259,7 @@ TEST(FleetShards, AggregateJsonRoundTrips)
                     view.ctl[c].fetchP99Ms, 1e-6);
     }
 
-    // Legacy JSONL is NOT an aggregate document.
+    // The per-host replay JSONL is NOT an aggregate document.
     EXPECT_FALSE(
         readAggregateJson(
             "{\"day\":0,\"host\":1,\"t\":5,\"src\":\"x\"}\n")

@@ -29,32 +29,31 @@
  *   iocost_mon --sweep "iocost min=100;iocost min=25;iolatency"
  *              [scenario flags] [--every N] [--out FILE]
  *
- * Fleet mode replays the §4.8 migration studies with telemetry on,
- * writing one JSONL record per telemetry sample prefixed with the
- * (day, host) slice coordinates. Output is byte-identical for any
- * --jobs/--shards value (records are serialized in (day, host,
- * time) order):
- *   iocost_mon --fleet --scenario fig18|fig19
- *              [--hosts N] [--days N] [--jobs N] [--shards N]
- *              [--out FILE]
- *
- * A full FleetScenario spec (fleet/fleet_scenario.hh grammar,
- * inline or @file) runs the sharded streaming engine instead and
- * renders the constant-memory aggregate (per-host telemetry is not
- * retained at that scale); --out then writes the aggregate JSON:
+ * Fleet mode takes the fleet flags iocost_sim shares
+ * (src/fleet/fleet_cli.hh documents them). A FleetScenario spec
+ * (inline or @file) runs the sharded streaming engine and renders
+ * the constant-memory aggregate, one per config under a sweep;
+ * --out then writes the aggregate JSON:
  *   iocost_mon --fleet --scenario "hosts=10000 days=24 ..."
  *   iocost_mon --fleet --scenario @scenario.txt --jobs 8
+ *
+ * The fig18/fig19 presets, or no --scenario (the scenario defaults),
+ * instead replay the §4.8 migration study per host with telemetry
+ * on, at 12 hosts x 8 days unless the fleet flags say otherwise,
+ * writing one JSONL record per telemetry sample prefixed with the
+ * (day, host) slice coordinates, then the aggregate. Output is
+ * byte-identical for any
+ * --jobs/--shards value (records are serialized in (day, host,
+ * time) order):
+ *   iocost_mon --fleet --scenario fig18|fig19 [fleet flags]
+ *              [--out FILE]
  *
  * Reader mode renders a previously written file — the
  * streaming-aggregate JSON, a multi-config sweep document
  * (iocost_sim --fleet --sweep --out), a what-if diff stream
- * (iocost_whatif output), or the legacy per-host JSONL (sniffed
+ * (iocost_whatif output), or the per-host replay JSONL (sniffed
  * automatically; an unrecognized document type is a clean error):
  *   iocost_mon --in fleet.json|fleet.jsonl|whatif.jsonl
- *
- * A scenario with a `sweep=` key (or equivalently iocost_sim's
- * --sweep flag) runs every controller config against paired
- * host-day seeds and renders one aggregate per config.
  *
  * Examples:
  *   iocost_mon --device newgen --seconds 5 \
@@ -74,7 +73,7 @@
 #include <string>
 #include <vector>
 
-#include "fleet/fleet_sim.hh"
+#include "fleet/fleet_cli.hh"
 #include "host/scenario.hh"
 #include "host/sweep.hh"
 #include "sim/logging.hh"
@@ -387,40 +386,6 @@ runHostSweep(const host::ScenarioSpec &sc,
     return 0;
 }
 
-/** Render a streaming-aggregate view (from a run or a file). */
-void
-renderAggregate(const fleet::AggregateView &view)
-{
-    std::printf("fleet aggregate: hosts=%u days=%u host-days=%llu "
-                "(run with jobs=%u shards=%u)\n",
-                view.hosts, view.days,
-                static_cast<unsigned long long>(view.hostDays),
-                view.jobs, view.shards);
-    std::printf("%-10s %12s %9s %9s %9s %12s %9s %9s %9s\n",
-                "controller", "fetch-done", "p50ms", "p99ms",
-                "meanms", "clean-done", "p50ms", "p99ms",
-                "meanms");
-    const char *names[2] = {"iolatency", "iocost"};
-    for (unsigned c = 0; c < 2; ++c) {
-        const auto &s = view.ctl[c];
-        std::printf(
-            "%-10s %12llu %9.2f %9.2f %9.2f %12llu %9.2f %9.2f "
-            "%9.2f\n",
-            names[c],
-            static_cast<unsigned long long>(s.fetchCount),
-            s.fetchP50Ms, s.fetchP99Ms, s.fetchMeanMs,
-            static_cast<unsigned long long>(s.cleanupCount),
-            s.cleanupP50Ms, s.cleanupP99Ms, s.cleanupMeanMs);
-    }
-    std::printf("%5s %10s %10s %10s %10s\n", "day", "on-iocost",
-                "fetchfail", "cleanfail", "attempts");
-    for (const auto &d : view.perDay) {
-        std::printf("%5u %9.0f%% %10u %10u %10u\n", d.day,
-                    100.0 * d.fractionOnIoCost, d.fetchFailures,
-                    d.cleanupFailures, d.fetchAttempts);
-    }
-}
-
 /** Extract the value of a top-level "type":"..." key, or "". */
 std::string
 sniffDocType(const std::string &line)
@@ -532,9 +497,9 @@ renderWhatifStream(const std::string &text)
 /**
  * --in FILE: render a previously written file. The format is
  * sniffed: streaming-aggregate JSON (the fleet engine output), a
- * sweep document, a what-if diff stream, or the legacy per-host
- * JSONL replay stream. Any other typed JSON document is a clean
- * error naming the unrecognized type.
+ * sweep document, a what-if diff stream, or the per-host replay
+ * JSONL. Any other typed JSON document is a clean error naming the
+ * unrecognized type.
  */
 int
 runFleetIn(const std::string &in_path)
@@ -546,17 +511,11 @@ runFleetIn(const std::string &in_path)
     if (const auto sweep = fleet::readSweepJson(text)) {
         std::printf("fleet sweep: %zu configs\n",
                     sweep->entries.size());
-        for (size_t c = 0; c < sweep->entries.size(); ++c) {
-            std::printf("\nconfig[%zu]: %s\n", c,
-                        c < sweep->labels.size()
-                            ? sweep->labels[c].c_str()
-                            : "?");
-            renderAggregate(sweep->entries[c]);
-        }
+        fleet::renderView(*sweep, stdout);
         return 0;
     }
     if (const auto view = fleet::readAggregateJson(text)) {
-        renderAggregate(*view);
+        fleet::renderView({{}, {*view}}, stdout);
         return 0;
     }
 
@@ -578,7 +537,7 @@ runFleetIn(const std::string &in_path)
         }
     }
 
-    // Legacy per-host JSONL: one record per telemetry sample,
+    // Per-host replay JSONL: one record per telemetry sample,
     // prefixed {"day":D,"host":H,...}. Summarize coverage per day.
     std::map<unsigned, uint64_t> day_records;
     std::map<unsigned, std::map<unsigned, bool>> day_hosts;
@@ -607,8 +566,7 @@ runFleetIn(const std::string &in_path)
                    ": neither a fleet aggregate JSON nor per-host "
                    "JSONL");
     }
-    std::printf("fleet per-host replay (legacy JSONL): %llu "
-                "records, %zu days\n",
+    std::printf("fleet per-host replay: %llu records, %zu days\n",
                 static_cast<unsigned long long>(total),
                 day_records.size());
     if (bad_lines) {
@@ -624,71 +582,31 @@ runFleetIn(const std::string &in_path)
     return 0;
 }
 
+/**
+ * Fleet replay: the flags' scenario at 12 hosts x 8 days unless they
+ * say otherwise, with telemetry on. Writes every record as
+ * (day, host)-prefixed JSONL to @p out_path (stdout when empty),
+ * then renders the aggregate.
+ */
 int
-runFleet(const std::string &scenario, fleet::FleetConfig cfg,
-         unsigned jobs, unsigned shards,
-         const std::string &out_path)
+runReplay(const fleet::FleetFlags &flags, const std::string &out_path)
 {
-    // A spec-form scenario (inline or @file) runs the streaming
-    // engine: constant memory, aggregate rendering.
-    if (!scenario.empty() && scenario != "fig18" &&
-        scenario != "fig19") {
-        if (scenario[0] != '@' &&
-            scenario.find('=') == std::string::npos) {
-            sim::fatal("unknown --scenario (fig18|fig19, a "
-                       "FleetScenario spec, or @file): " +
-                       scenario);
-        }
-        fleet::FleetScenario sc =
-            fleet::FleetScenario::parse(sim::specArgument(scenario));
-        if (!cfg.faults.empty())
-            sc.faults = cfg.faults;
-        fleet::RunOptions run_opts;
-        run_opts.jobs = jobs;
-        run_opts.shards = shards;
-        std::printf("fleet scenario: %s\n", sc.canonical().c_str());
-        const fleet::SweepView view =
-            fleet::FleetSim::runScenarioView(sc, run_opts);
-        for (size_t c = 0; c < view.entries.size(); ++c) {
-            if (!view.labels.empty()) {
-                std::printf("\nconfig[%zu]: %s\n", c,
-                            view.labels[c].c_str());
-            }
-            renderAggregate(view.entries[c]);
-        }
-        if (!out_path.empty()) {
-            FILE *out = std::fopen(out_path.c_str(), "w");
-            if (!out)
-                sim::fatal("cannot write " + out_path);
-            fleet::writeViewJson(view, out);
-            std::fclose(out);
-            std::printf("wrote %s to %s\n",
-                        view.labels.empty() ? "aggregate" : "sweep",
-                        out_path.c_str());
-        }
-        return 0;
+    // A slice of the fleet large enough to cover both host
+    // generations and the full migration window without generating
+    // hundreds of megabytes of JSONL.
+    fleet::FleetScenario sc = flags.resolve("hosts=12 days=8");
+    if (!sc.sweep.empty()) {
+        throw std::invalid_argument(
+            "the per-host replay runs the migration; a sweep needs "
+            "a --scenario spec");
     }
+    sc.telemetry = true;
 
-    if (scenario == "fig18") {
-        cfg.seed = 1818;
-    } else if (scenario == "fig19") {
-        cfg.seed = 1919;
-    }
-    cfg.telemetry = true;
-
-    std::printf("fleet replay: scenario=%s hosts=%u days=%u "
-                "jobs=%u seed=%llu\n",
-                scenario.empty() ? "custom" : scenario.c_str(),
-                cfg.hosts, cfg.days, jobs,
-                static_cast<unsigned long long>(cfg.seed));
+    std::printf("fleet replay: %s\n", sc.canonical().c_str());
 
     std::vector<fleet::HostDayOutcome> outcomes;
-    fleet::RunOptions run_opts;
-    run_opts.jobs = jobs;
-    run_opts.shards = shards;
-    const fleet::FleetAggregate agg = fleet::FleetSim::runScenario(
-        fleet::scenarioFromConfig(cfg), run_opts, &outcomes);
-    const auto &days = agg.days;
+    const fleet::FleetAggregate agg =
+        fleet::FleetSim::runScenario(sc, flags.run, &outcomes);
 
     FILE *out = stdout;
     if (!out_path.empty()) {
@@ -702,11 +620,10 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
     // the grid itself is (day, host)-indexed, so the byte stream
     // is independent of the worker count.
     uint64_t written = 0;
-    for (unsigned day = 0; day < cfg.days; ++day) {
-        for (unsigned h = 0; h < cfg.hosts; ++h) {
+    for (unsigned day = 0; day < sc.days; ++day) {
+        for (unsigned h = 0; h < sc.hosts; ++h) {
             const auto &o =
-                outcomes[static_cast<uint64_t>(day) * cfg.hosts +
-                         h];
+                outcomes[static_cast<uint64_t>(day) * sc.hosts + h];
             for (const stat::Record &r : o.records) {
                 std::fprintf(out, "{\"day\":%u,\"host\":%u,%s}\n",
                              day, h,
@@ -722,13 +639,7 @@ runFleet(const std::string &scenario, fleet::FleetConfig cfg,
                     out_path.c_str());
     }
 
-    std::printf("%5s %10s %10s %10s\n", "day", "on-iocost",
-                "fetchfail", "cleanfail");
-    for (const auto &d : days) {
-        std::printf("%5u %9.0f%% %10u %10u\n", d.day,
-                    100.0 * d.fractionOnIoCost, d.fetchFailures,
-                    d.cleanupFailures);
-    }
+    fleet::renderView({{}, {fleet::AggregateView::from(agg)}}, stdout);
     return 0;
 }
 
@@ -739,55 +650,31 @@ main(int argc, char **argv)
 {
     host::ScenarioSpec sc;
     sc.seconds = 5.0;
-    std::string out_path, scenario, sweep_arg;
+    std::string out_path, in_path;
     unsigned every = 0;
     bool detail = false;
     bool fleet_mode = false;
-    fleet::FleetConfig fleet_cfg;
-    // Replay default: a slice of the fleet large enough to cover
-    // both host generations and the full migration window without
-    // generating hundreds of megabytes of JSONL.
-    fleet_cfg.hosts = 12;
-    fleet_cfg.days = 8;
-    fleet_cfg.migrationStartDay = 2;
-    fleet_cfg.migrationEndDay = 6;
-    unsigned fleet_jobs = 1;
-    unsigned fleet_shards = 0;
-    std::string in_path;
+    fleet::FleetFlags fleet_flags;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         try {
-            if (host::readScenarioFlag(sc, argc, argv, i))
+            if (fleet::readFleetFlag(fleet_flags, argc, argv, i) ||
+                host::readScenarioFlag(sc, argc, argv, i))
                 continue;
             auto next = [&]() -> std::string {
                 if (i + 1 >= argc)
                     throw std::invalid_argument("needs a value");
                 return argv[++i];
             };
-            auto count = [&] {
-                return static_cast<unsigned>(sim::parseCount(next()));
-            };
-            if (arg == "--sweep") {
-                sweep_arg = next();
-            } else if (arg == "--every") {
-                every = count();
+            if (arg == "--every") {
+                every = static_cast<unsigned>(sim::parseCount(next()));
             } else if (arg == "--detail") {
                 detail = true;
             } else if (arg == "--out") {
                 out_path = next();
             } else if (arg == "--fleet") {
                 fleet_mode = true;
-            } else if (arg == "--scenario") {
-                scenario = next();
-            } else if (arg == "--hosts") {
-                fleet_cfg.hosts = count();
-            } else if (arg == "--days") {
-                fleet_cfg.days = count();
-            } else if (arg == "--jobs") {
-                fleet_jobs = count();
-            } else if (arg == "--shards") {
-                fleet_shards = count();
             } else if (arg == "--in") {
                 in_path = next();
             } else if (arg == "--help" || arg == "-h") {
@@ -809,12 +696,15 @@ main(int argc, char **argv)
             return runFleetIn(in_path);
         }
         if (fleet_mode) {
-            fleet_cfg.faults = sc.faults;
-            return runFleet(scenario, fleet_cfg, fleet_jobs,
-                            fleet_shards, out_path);
+            const std::string &name = fleet_flags.scenario;
+            if (name.empty() || name == "fig18" || name == "fig19")
+                return runReplay(fleet_flags, out_path);
+            fleet::runFleet(fleet_flags, out_path);
+            return 0;
         }
-        if (!sweep_arg.empty()) {
-            return runHostSweep(sc, controllers::splitSpecList(sweep_arg),
+        if (!fleet_flags.sweep.empty()) {
+            return runHostSweep(sc,
+                                controllers::splitSpecList(fleet_flags.sweep),
                                 every, out_path);
         }
         return runSingleHost(sc, every, detail, out_path);

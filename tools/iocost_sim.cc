@@ -40,19 +40,14 @@
  * Fleet mode runs the §4.8 migration Monte-Carlo instead of a single
  * host, through the sharded streaming engine (results are
  * byte-identical for any --jobs/--shards value):
- *   iocost_sim --fleet [--hosts N] [--days N] [--jobs N] [--seed N]
- *              [--shards N] [--faults "<spec>"]
- *              [--scenario "<FleetScenario spec>"|@scenario.txt]
- *                 full scenario grammar (device/workload mixes,
- *                 staged migration) — see fleet/fleet_scenario.hh;
- *                 overrides --hosts/--days/--seed
- *              [--sweep "spec1;spec2;..."]  paired-CRN sweep: every
- *                 host-day is run once per config with the same
- *                 host-day seed; one aggregate per config
- *                 (equivalent to the scenario `sweep=` key)
- *              [--out agg.json]  write the streaming-aggregate JSON
- *                 (readable by iocost_mon --fleet --in); under
- *                 --sweep, the multi-config sweep document
+ *   iocost_sim --fleet [fleet flags] [--out agg.json]
+ *     The fleet flags are shared with iocost_mon and documented in
+ *     src/fleet/fleet_cli.hh: a --scenario spec (or fig18/fig19)
+ *     plus flags overriding its hosts, days, seed, faults and sweep
+ *     keys, and --jobs/--shards. A sweep runs every host-day once per
+ *     config on the same host-day seed. --out writes the
+ *     streaming-aggregate JSON (readable by iocost_mon --in); under a
+ *     sweep, the multi-config sweep document.
  *
  * Example:
  *   iocost_sim --device oldgen --controller iocost --seconds 10 \
@@ -66,94 +61,16 @@
 #include <vector>
 
 #include "core/config_parse.hh"
-#include "fleet/fleet_sim.hh"
+#include "fleet/fleet_cli.hh"
 #include "host/scenario.hh"
 #include "host/sweep.hh"
 #include "sim/logging.hh"
-#include "sim/parse.hh"
 #include "whatif/query.hh"
 #include "whatif/service.hh"
 
 namespace {
 
 using namespace iocost;
-
-struct FleetArgs
-{
-    fleet::FleetConfig cfg;
-    unsigned jobs = 1;
-    unsigned shards = 0;
-    std::string scenario;
-    std::string out;
-};
-
-int
-runFleet(const host::ScenarioSpec &host_sc, FleetArgs args,
-         const std::string &sweep_arg)
-{
-    fleet::FleetScenario sc;
-    if (!args.scenario.empty()) {
-        sc = fleet::FleetScenario::parse(sim::specArgument(args.scenario));
-        if (!host_sc.faults.empty())
-            sc.faults = host_sc.faults;
-    } else {
-        args.cfg.seed = host_sc.seed;
-        args.cfg.faults = host_sc.faults;
-        sc = fleet::scenarioFromConfig(args.cfg);
-    }
-    fleet::RunOptions run_opts;
-    run_opts.jobs = args.jobs;
-    run_opts.shards = args.shards;
-    if (!sweep_arg.empty())
-        sc.sweep = controllers::splitSpecList(sweep_arg);
-    std::printf("fleet: %s\n", sc.canonical().c_str());
-    const fleet::SweepView view =
-        fleet::FleetSim::runScenarioView(sc, run_opts);
-    const fleet::AggregateView &first = view.entries[0];
-    std::printf("engine: jobs=%u shards=%u host-days=%llu", first.jobs,
-                first.shards,
-                static_cast<unsigned long long>(first.hostDays));
-    if (view.labels.empty()) {
-        std::printf("\n%5s %10s %10s %10s\n", "day", "on-iocost",
-                    "fetchfail", "cleanfail");
-        for (const auto &d : first.perDay) {
-            std::printf("%5u %9.0f%% %10u %10u\n", d.day,
-                        100.0 * d.fractionOnIoCost, d.fetchFailures,
-                        d.cleanupFailures);
-        }
-    } else {
-        std::printf(" x %zu configs\n", view.entries.size());
-        std::printf("%-44s %10s %10s %10s %10s\n", "config",
-                    "fetchfail", "cleanfail", "fetch-p99", "clean-p99");
-        for (size_t c = 0; c < view.entries.size(); ++c) {
-            const auto spec =
-                controllers::parseControllerSpec(view.labels[c]);
-            const unsigned ctl = spec && spec->name == "iocost"
-                                     ? fleet::kCtlIoCost
-                                     : fleet::kCtlIoLatency;
-            unsigned ff = 0, cf = 0;
-            for (const auto &d : view.entries[c].perDay) {
-                ff += d.fetchFailures;
-                cf += d.cleanupFailures;
-            }
-            const auto &s = view.entries[c].ctl[ctl];
-            std::printf("%-44s %10u %10u %8.1fms %8.1fms\n",
-                        view.labels[c].c_str(), ff, cf, s.fetchP99Ms,
-                        s.cleanupP99Ms);
-        }
-    }
-    if (!args.out.empty()) {
-        FILE *out = std::fopen(args.out.c_str(), "w");
-        if (!out)
-            sim::fatal("cannot write " + args.out);
-        fleet::writeViewJson(view, out);
-        std::fclose(out);
-        std::printf("wrote %s to %s\n",
-                    view.labels.empty() ? "aggregate" : "sweep",
-                    args.out.c_str());
-    }
-    return 0;
-}
 
 constexpr const char *kJobHeader =
     "job            weight       IOPS       MB/s        p50        p99\n";
@@ -288,42 +205,28 @@ main(int argc, char **argv)
 {
     host::ScenarioSpec sc;
     bool controller_set = false;
-    std::string sweep_arg, whatif_arg;
+    std::string whatif_arg, out_path;
     bool fleet_mode = false;
-    FleetArgs fleet_args;
+    fleet::FleetFlags fleet_flags;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         try {
             controller_set = controller_set || arg == "--controller";
-            if (host::readScenarioFlag(sc, argc, argv, i))
+            if (fleet::readFleetFlag(fleet_flags, argc, argv, i) ||
+                host::readScenarioFlag(sc, argc, argv, i))
                 continue;
             auto next = [&]() -> std::string {
                 if (i + 1 >= argc)
                     throw std::invalid_argument("needs a value");
                 return argv[++i];
             };
-            auto count = [&] {
-                return static_cast<unsigned>(sim::parseCount(next()));
-            };
-            if (arg == "--sweep") {
-                sweep_arg = next();
-            } else if (arg == "--whatif") {
+            if (arg == "--whatif") {
                 whatif_arg = next();
             } else if (arg == "--fleet") {
                 fleet_mode = true;
-            } else if (arg == "--hosts") {
-                fleet_args.cfg.hosts = count();
-            } else if (arg == "--days") {
-                fleet_args.cfg.days = count();
-            } else if (arg == "--jobs") {
-                fleet_args.jobs = count();
-            } else if (arg == "--shards") {
-                fleet_args.shards = count();
-            } else if (arg == "--scenario") {
-                fleet_args.scenario = next();
             } else if (arg == "--out") {
-                fleet_args.out = next();
+                out_path = next();
             } else if (arg == "--help" || arg == "-h") {
                 std::printf("see the header of tools/iocost_sim.cc\n");
                 return 0;
@@ -337,12 +240,15 @@ main(int argc, char **argv)
 
     try {
         host::finishScenarioFlags(sc);
-        if (fleet_mode)
-            return runFleet(sc, fleet_args, sweep_arg);
-        if (!fleet_args.out.empty())
+        if (fleet_mode) {
+            fleet::runFleet(fleet_flags, out_path);
+            return 0;
+        }
+        if (!out_path.empty())
             sim::fatal("--out is only meaningful with --fleet");
-        if (!fleet_args.scenario.empty())
+        if (!fleet_flags.scenario.empty())
             sim::fatal("--scenario is only meaningful with --fleet");
+        const std::string &sweep_arg = fleet_flags.sweep;
         if (!whatif_arg.empty()) {
             // One-shot what-if: answer the query with a cold full
             // re-run of the flags' scenario (byte-identical to the
@@ -364,7 +270,7 @@ main(int argc, char **argv)
             const std::vector<std::string> specs =
                 controllers::splitSpecList(sweep_arg);
             if (specs.size() != 1)
-                return runHostSweep(sc, specs, fleet_args.jobs);
+                return runHostSweep(sc, specs, fleet_flags.run.jobs);
             // Degenerate sweep: the plain single-host path is
             // byte-identical (and has zero observation overhead).
             sc.controller = specs[0];
