@@ -34,12 +34,15 @@ namespace iocost::bench {
  *   --check-allocs   run the CI allocation gate instead of / in
  *                    addition to the timed run
  *   --max-hosts N    cap the largest scaling step (perf_fleet)
+ *   --out PATH       write the results document to PATH
+ *                    (perf_kernel, perf_fleet); without it they
+ *                    write no file
  *   --help           print this flag list and exit
  *
  * An unknown flag or a malformed number is fatal before anything
- * runs, so a typo cannot start a long run (or overwrite a tracked
- * BENCH file) with defaults. Layout knobs (jobs/shards/faults)
- * report to stderr so stdout stays diffable across layouts.
+ * runs, so a typo cannot start a long run with defaults. Layout
+ * knobs (jobs/shards/faults) report to stderr so stdout stays
+ * diffable across layouts.
  */
 struct BenchArgs
 {
@@ -48,6 +51,7 @@ struct BenchArgs
     std::string faults;
     bool checkAllocs = false;
     uint64_t maxHosts = 0;
+    std::string out;
 };
 
 inline BenchArgs
@@ -71,12 +75,14 @@ parseArgs(int argc, char **argv)
                 args.faults = next();
             } else if (arg == "--max-hosts") {
                 args.maxHosts = sim::parseCount(next());
+            } else if (arg == "--out") {
+                args.out = next();
             } else if (arg == "--check-allocs") {
                 args.checkAllocs = true;
             } else if (arg == "--help" || arg == "-h") {
                 std::printf("usage: %s [--jobs N] [--shards N] "
                             "[--faults SPEC] [--check-allocs] "
-                            "[--max-hosts N]\n",
+                            "[--max-hosts N] [--out PATH]\n",
                             argv[0]);
                 std::exit(0);
             } else {

@@ -6,7 +6,8 @@
  * 1k / 10k / 100k hosts, sequential vs parallel, plus the peak RSS
  * of each scale — the tracked evidence for the engine's two claims:
  * linear multicore scaling and O(shards) memory independent of fleet
- * size. Results go to BENCH_fleet.json.
+ * size. `--out BENCH_fleet.json` records the results in the tracked
+ * file; without `--out` they are only printed.
  *
  * The per-slice knobs are deliberately tiny (10ms slices, 64K
  * fetches): the quantity under test is engine overhead — slice
@@ -21,7 +22,8 @@
  *
  * Flags: --jobs N (parallel lane worker count, default 4),
  *        --shards N (override auto sharding),
- *        --max-hosts N (skip scales above N, default 100000).
+ *        --max-hosts N (skip scales above N, default 100000),
+ *        --out PATH (write the results document to PATH).
  */
 
 #include <atomic>
@@ -364,10 +366,12 @@ main(int argc, char **argv)
                 bench::fmtCount(results.front().hosts).c_str(),
                 bench::fmtCount(results.back().hosts).c_str(),
                 rss_ratio);
+    if (args.out.empty())
+        return 0;
 
-    FILE *json = std::fopen("BENCH_fleet.json", "w");
+    FILE *json = std::fopen(args.out.c_str(), "w");
     if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_fleet.json\n");
+        std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
         return 1;
     }
     std::fprintf(json,
@@ -415,6 +419,6 @@ main(int argc, char **argv)
                  "}\n",
                  rss_ratio);
     std::fclose(json);
-    std::printf("wrote BENCH_fleet.json\n");
+    std::printf("wrote %s\n", args.out.c_str());
     return 0;
 }

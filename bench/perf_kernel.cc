@@ -4,9 +4,10 @@
  *
  * Measures the three hot paths every figure reproduction is built
  * on — sustained schedule+fire throughput, a cancel-heavy mix, and
- * fleet host-days/sec (sequential and `--jobs 4`) — and writes the
- * numbers to BENCH_kernel.json so subsequent PRs have a tracked perf
- * trajectory to beat.
+ * fleet host-days/sec (sequential and `--jobs 4`). With `--out
+ * BENCH_kernel.json` it records the numbers in the tracked file, so
+ * subsequent PRs have a perf trajectory to beat; without `--out` it
+ * only prints them.
  *
  * To keep the comparison honest across PRs, the seed kernel (the
  * pre-pooled-slot EventQueue: shared_ptr<bool> tombstone per event,
@@ -1547,6 +1548,8 @@ main(int argc, char **argv)
     table.print();
     std::printf("hardware threads: %u (parallel speedup is bounded "
                 "by this)\n", hw);
+    if (args.out.empty())
+        return 0;
 
     // On a single-hardware-thread box a jobs4/seq ratio is just
     // scheduling noise, not a speedup — emit null so downstream
@@ -1559,9 +1562,9 @@ main(int argc, char **argv)
         std::snprintf(speedup_json, sizeof(speedup_json), "null");
     }
 
-    FILE *json = std::fopen("BENCH_kernel.json", "w");
+    FILE *json = std::fopen(args.out.c_str(), "w");
     if (!json) {
-        std::fprintf(stderr, "cannot write BENCH_kernel.json\n");
+        std::fprintf(stderr, "cannot write %s\n", args.out.c_str());
         return 1;
     }
     std::fprintf(
@@ -1650,6 +1653,6 @@ main(int argc, char **argv)
         wb.cleanedFraction,
         static_cast<unsigned long long>(wb.fsyncs));
     std::fclose(json);
-    std::printf("wrote BENCH_kernel.json\n");
+    std::printf("wrote %s\n", args.out.c_str());
     return 0;
 }

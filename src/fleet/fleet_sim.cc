@@ -1,8 +1,6 @@
 #include "fleet/fleet_sim.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -13,6 +11,7 @@
 #include "device/ssd_model.hh"
 #include "host/host.hh"
 #include "host/scenario.hh"
+#include "host/sweep.hh"
 #include "profile/device_profiler.hh"
 #include "sim/rng.hh"
 #include "workload/buffered_io.hh"
@@ -393,43 +392,13 @@ runShards(const FleetScenario &sc, const RunOptions &opts, size_t K,
             acc[k].finalizeSeries();
     };
 
-    // Workers steal whole shards from a shared counter. Exception
-    // boundary: a throwing slice poisons only its shard — the
-    // shard's first exception is captured, the worker moves on, and
-    // remaining shards still drain. After a clean join the
-    // exception from the lowest-indexed failed shard is rethrown,
-    // which is deterministic regardless of worker scheduling.
-    std::vector<std::exception_ptr> errors(shards);
-    std::atomic<unsigned> next{0};
-    auto worker = [&] {
-        for (;;) {
-            const unsigned s =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (s >= shards)
-                return;
-            try {
-                run_shard(s);
-            } catch (...) {
-                errors[s] = std::current_exception();
-            }
-        }
-    };
-
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs - 1);
-        for (unsigned t = 0; t + 1 < jobs; ++t)
-            pool.emplace_back(worker);
-        worker();
-        for (auto &t : pool)
-            t.join();
-    }
-    for (unsigned s = 0; s < shards; ++s) {
-        if (errors[s])
-            std::rethrow_exception(errors[s]);
-    }
+    // Workers steal whole shards. Exception boundary: a throwing
+    // slice poisons only its shard, the remaining shards still
+    // drain, and the lowest-indexed failed shard's exception is
+    // rethrown after the join, whatever the worker scheduling.
+    host::runIndexed(shards, jobs, [&](size_t s) {
+        run_shard(static_cast<unsigned>(s));
+    });
 
     // Deterministic binary-tree merge by shard index, per slot.
     // Every merged quantity is exact, so this yields bit-identical

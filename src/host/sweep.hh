@@ -302,14 +302,71 @@ class SweepRunner
 };
 
 /**
+ * The worker pool behind runSweep, runPaired and the fleet's shard
+ * loop: runs task(i) for every i in [0, count) on up to @p jobs
+ * workers (0 = 1), stealing indices from a shared atomic counter.
+ * The calling thread is one of the workers, so at most jobs - 1
+ * threads are spawned. An exception from task(i) is captured per
+ * index and the others still run; once every worker has joined, the
+ * lowest failing index's exception is rethrown, so failures do not
+ * depend on the worker count or on scheduling. If a thread fails to
+ * start, the workers already running are joined and the
+ * std::system_error propagates.
+ */
+template <typename Task>
+void
+runIndexed(size_t count, unsigned jobs, Task task)
+{
+    if (count == 0)
+        return;
+    const size_t workers = std::min<size_t>(
+        jobs == 0 ? 1 : jobs, count);
+
+    std::vector<std::exception_ptr> errors(count);
+    std::atomic<size_t> next{0};
+    auto worker = [&] {
+        for (;;) {
+            const size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= count)
+                return;
+            try {
+                task(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    try {
+        for (size_t w = 1; w < workers; ++w)
+            helpers.emplace_back(worker);
+    } catch (...) {
+        for (std::thread &t : helpers)
+            t.join();
+        throw;
+    }
+    worker();
+    for (std::thread &t : helpers)
+        t.join();
+    for (size_t i = 0; i < count; ++i) {
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+    }
+}
+
+/**
  * Partitioned multi-config execution.
  *
  * Splits @p base.specs into up to @p jobs contiguous groups, runs
- * each group on its own thread with its own Simulator(@p seed) and
- * SweepRunner, and returns one collect() result per config in spec
- * order. Because every group re-runs the identical generator stream
- * (same seed, same body, fixed pass-through generator), per-config
- * results are byte-identical regardless of jobs or config order.
+ * the groups concurrently (runIndexed, one worker per group), each
+ * with its own Simulator(@p seed) and SweepRunner, and returns one
+ * collect() result per config in spec order. Because every group
+ * re-runs the identical generator stream (same seed, same body,
+ * fixed pass-through generator), per-config results are
+ * byte-identical regardless of jobs or config order.
  *
  * @param body   body(sim, runner): build cgroups/workloads against
  *               the runner and run the simulator. Must behave
@@ -334,53 +391,29 @@ runSweep(const SweepOptions &base, uint64_t seed, unsigned jobs,
         std::min<size_t>(jobs == 0 ? 1 : jobs, total);
 
     std::vector<std::optional<Result>> slots(total);
-    std::vector<std::exception_ptr> errors(groups);
-
-    auto run_group = [&](size_t g) {
-        try {
-            const size_t lo = total * g / groups;
-            const size_t hi = total * (g + 1) / groups;
-            SweepOptions opts = base;
-            opts.specs.assign(base.specs.begin() +
-                                  static_cast<std::ptrdiff_t>(lo),
-                              base.specs.begin() +
-                                  static_cast<std::ptrdiff_t>(hi));
-            if (!base.laneSinks.empty()) {
-                opts.laneSinks.assign(
-                    base.laneSinks.begin() +
-                        static_cast<std::ptrdiff_t>(lo),
-                    base.laneSinks.begin() +
-                        static_cast<std::ptrdiff_t>(hi));
-            }
-            // Singleton groups of a multi-config sweep keep shadow
-            // semantics: partitioning must not change results.
-            opts.forceShadow = base.forceShadow || total > 1;
-            sim::Simulator sim(seed);
-            SweepRunner runner(sim, std::move(opts));
-            body(sim, runner);
-            for (size_t k = 0; k < hi - lo; ++k)
-                slots[lo + k].emplace(collect(runner, k, lo + k));
-        } catch (...) {
-            errors[g] = std::current_exception();
+    runIndexed(groups, jobs, [&](size_t g) {
+        const size_t lo = total * g / groups;
+        const size_t hi = total * (g + 1) / groups;
+        SweepOptions opts = base;
+        opts.specs.assign(base.specs.begin() +
+                              static_cast<std::ptrdiff_t>(lo),
+                          base.specs.begin() +
+                              static_cast<std::ptrdiff_t>(hi));
+        if (!base.laneSinks.empty()) {
+            opts.laneSinks.assign(base.laneSinks.begin() +
+                                      static_cast<std::ptrdiff_t>(lo),
+                                  base.laneSinks.begin() +
+                                      static_cast<std::ptrdiff_t>(hi));
         }
-    };
-
-    if (groups == 1) {
-        run_group(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(groups);
-        for (size_t g = 0; g < groups; ++g)
-            pool.emplace_back(run_group, g);
-        for (std::thread &t : pool)
-            t.join();
-    }
-    // Deterministic error reporting: lowest group index wins (same
-    // discipline as the fleet's shard pool).
-    for (size_t g = 0; g < groups; ++g) {
-        if (errors[g])
-            std::rethrow_exception(errors[g]);
-    }
+        // Singleton groups of a multi-config sweep keep shadow
+        // semantics: partitioning must not change results.
+        opts.forceShadow = base.forceShadow || total > 1;
+        sim::Simulator sim(seed);
+        SweepRunner runner(sim, std::move(opts));
+        body(sim, runner);
+        for (size_t k = 0; k < hi - lo; ++k)
+            slots[lo + k].emplace(collect(runner, k, lo + k));
+    });
 
     std::vector<Result> out;
     out.reserve(total);
@@ -400,14 +433,14 @@ runSweep(const SweepOptions &base, uint64_t seed, unsigned jobs,
  * with the *same seeds* so config deltas cancel the workload noise —
  * but each config needs its own full run.
  *
- * runPaired runs run(config) for each config index on a pool of up
- * to @p jobs threads (atomic-counter work stealing) and returns the
- * results in config order. @p run must derive all randomness from
- * the config-independent seeds it closes over (that is what makes
- * the runs "paired") and must be safe to call concurrently.
- * Exceptions are captured per config and the lowest config index is
- * rethrown after the pool drains, so failures are deterministic
- * regardless of jobs.
+ * runPaired runs run(config) for each config index on runIndexed's
+ * pool of up to @p jobs workers, the calling thread included, and
+ * returns the results in config order. @p run must derive all
+ * randomness from the config-independent seeds it closes over (that
+ * is what makes the runs "paired") and must be safe to call
+ * concurrently. Exceptions are captured per config and the lowest
+ * config index is rethrown after the pool drains, so failures are
+ * deterministic regardless of jobs.
  */
 template <typename Run>
 auto
@@ -415,43 +448,9 @@ runPaired(size_t configs, unsigned jobs, Run run)
     -> std::vector<std::invoke_result_t<Run &, size_t>>
 {
     using Result = std::invoke_result_t<Run &, size_t>;
-    if (configs == 0)
-        return {};
-    const size_t workers = std::min<size_t>(
-        jobs == 0 ? 1 : jobs, configs);
-
     std::vector<std::optional<Result>> slots(configs);
-    std::vector<std::exception_ptr> errors(configs);
-    std::atomic<size_t> next{0};
-
-    auto worker = [&] {
-        for (;;) {
-            const size_t c =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (c >= configs)
-                return;
-            try {
-                slots[c].emplace(run(c));
-            } catch (...) {
-                errors[c] = std::current_exception();
-            }
-        }
-    };
-
-    if (workers == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (size_t w = 0; w < workers; ++w)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
-    for (size_t c = 0; c < configs; ++c) {
-        if (errors[c])
-            std::rethrow_exception(errors[c]);
-    }
+    runIndexed(configs, jobs,
+               [&](size_t c) { slots[c].emplace(run(c)); });
 
     std::vector<Result> out;
     out.reserve(configs);

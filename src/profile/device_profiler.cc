@@ -1,15 +1,59 @@
 #include "profile/device_profiler.hh"
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 #include "blk/block_layer.hh"
 #include "cgroup/cgroup_tree.hh"
+#include "host/sweep.hh"
 #include "workload/fio_workload.hh"
 
 namespace iocost::profile {
 
 namespace {
+
+/** One saturating fio job: what it issues and how deep. */
+struct Dimension
+{
+    blk::Op op;
+    bool random;
+    uint32_t blockSize;
+    unsigned iodepth;
+};
+
+/**
+ * The eight fio jobs of a profile. Dimension i runs at seed + i + 1.
+ * The four 4k IOPS anchors take nearly all of the profiling time, so
+ * they come first and start first on the pool.
+ */
+constexpr std::array<Dimension, 8> kDimensions = {{
+    // IOPS anchors: saturating 4k jobs at a deep queue.
+    {blk::Op::Read, true, 4096, 256},   // rrandiops
+    {blk::Op::Read, false, 4096, 256},  // rseqiops
+    {blk::Op::Write, true, 4096, 256},  // wrandiops
+    {blk::Op::Write, false, 4096, 256}, // wseqiops
+    // Byte rates: large sequential transfers.
+    {blk::Op::Read, false, 1 << 20, 64},  // rbps
+    {blk::Op::Write, false, 1 << 20, 64}, // wbps
+    // Single-IO latency: depth-1 random jobs.
+    {blk::Op::Read, true, 4096, 1},  // read latency
+    {blk::Op::Write, true, 4096, 1}, // write latency
+}};
+
+/**
+ * Profiling workers. With four, the IOPS anchors all start at once
+ * and a profile takes as long as its slowest dimension; more threads
+ * would only idle.
+ */
+unsigned
+profileWorkers()
+{
+    return std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+}
 
 struct DimensionResult
 {
@@ -24,8 +68,7 @@ struct DimensionResult
  */
 DimensionResult
 runDimension(const DeviceFactory &factory, uint64_t seed,
-             double run_seconds, blk::Op op, bool random,
-             uint32_t block_size, unsigned iodepth)
+             double run_seconds, const Dimension &dim)
 {
     sim::Simulator sim(seed);
     auto device = factory(sim);
@@ -34,11 +77,11 @@ runDimension(const DeviceFactory &factory, uint64_t seed,
 
     workload::FioConfig cfg;
     cfg.name = "profiler";
-    cfg.readFraction = op == blk::Op::Read ? 1.0 : 0.0;
-    cfg.randomFraction = random ? 1.0 : 0.0;
-    cfg.blockSize = block_size;
+    cfg.readFraction = dim.op == blk::Op::Read ? 1.0 : 0.0;
+    cfg.randomFraction = dim.random ? 1.0 : 0.0;
+    cfg.blockSize = dim.blockSize;
     cfg.arrival = workload::Arrival::Saturating;
-    cfg.iodepth = iodepth;
+    cfg.iodepth = dim.iodepth;
 
     workload::FioWorkload job(sim, layer, cgroup::kRoot, cfg);
     job.start();
@@ -57,7 +100,7 @@ runDimension(const DeviceFactory &factory, uint64_t seed,
 
     DimensionResult out;
     out.opsPerSec = job.iops();
-    out.bytesPerSec = out.opsPerSec * block_size;
+    out.bytesPerSec = out.opsPerSec * dim.blockSize;
     out.p50Latency = job.latency().quantile(0.5);
     job.stop();
     return out;
@@ -74,10 +117,13 @@ const ProfileResult &
 cachedProfile(const std::string &name, const DeviceFactory &factory)
 {
     // The parallel fleet runner profiles devices from worker
-    // threads; the cache is shared process state. Profiling runs a
-    // private Simulator seeded per dimension, so holding the lock
-    // across it is deterministic (map references stay stable across
-    // later inserts, so returning a reference is safe).
+    // threads; the cache is shared process state. One lock covers
+    // lookup and profiling, so a device is profiled once and other
+    // callers wait for it. Profiling runs on its own pool, whose
+    // workers never touch the cache, so holding the lock across it
+    // cannot deadlock, and its result does not depend on which
+    // thread asked (map references stay stable across later
+    // inserts, so returning a reference is safe).
     static std::mutex mutex;
     std::lock_guard<std::mutex> lock(mutex);
     auto it = cache().find(name);
@@ -97,32 +143,19 @@ DeviceProfiler::profile(const std::string &name,
                         const DeviceFactory &factory, uint64_t seed,
                         double run_seconds)
 {
+    // Every dimension owns its simulator, device and seed, so they
+    // run concurrently and the results equal a back-to-back run.
+    const std::vector<DimensionResult> d = host::runPaired(
+        kDimensions.size(), profileWorkers(), [&](size_t i) {
+            return runDimension(factory, seed + i + 1, run_seconds,
+                                kDimensions[i]);
+        });
+    const DimensionResult &rr = d[0], &rs = d[1], &wr = d[2],
+                          &ws = d[3], &rb = d[4], &wb = d[5],
+                          &rl = d[6], &wl = d[7];
+
     ProfileResult r;
     r.deviceName = name;
-
-    // IOPS anchors: saturating 4k jobs at a deep queue.
-    const auto rr = runDimension(factory, seed + 1, run_seconds,
-                                 blk::Op::Read, true, 4096, 256);
-    const auto rs = runDimension(factory, seed + 2, run_seconds,
-                                 blk::Op::Read, false, 4096, 256);
-    const auto wr = runDimension(factory, seed + 3, run_seconds,
-                                 blk::Op::Write, true, 4096, 256);
-    const auto ws = runDimension(factory, seed + 4, run_seconds,
-                                 blk::Op::Write, false, 4096, 256);
-
-    // Byte rates: large sequential transfers.
-    const auto rb =
-        runDimension(factory, seed + 5, run_seconds, blk::Op::Read,
-                     false, 1 << 20, 64);
-    const auto wb =
-        runDimension(factory, seed + 6, run_seconds, blk::Op::Write,
-                     false, 1 << 20, 64);
-
-    // Single-IO latency: depth-1 random jobs.
-    const auto rl = runDimension(factory, seed + 7, run_seconds,
-                                 blk::Op::Read, true, 4096, 1);
-    const auto wl = runDimension(factory, seed + 8, run_seconds,
-                                 blk::Op::Write, true, 4096, 1);
 
     r.model.rrandiops = rr.opsPerSec;
     r.model.rseqiops = rs.opsPerSec;

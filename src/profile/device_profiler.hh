@@ -6,9 +6,11 @@
  * iocost: run saturating synthetic workloads against a device —
  * 4k random/sequential reads and writes for the IOPS anchors, large
  * sequential transfers for the byte rates — and emit the six-
- * parameter linear model configuration. Profiling runs in a private
- * simulator instance per dimension, exactly as the real tool runs
- * fio jobs back to back on an idle device.
+ * parameter linear model configuration. The real tool runs its fio
+ * jobs back to back because they share one physical device; here
+ * every dimension gets a fresh device in a private simulator with its
+ * own seed, so nothing couples them and they run concurrently, with
+ * results equal to the back-to-back run.
  */
 
 #ifndef IOCOST_PROFILE_DEVICE_PROFILER_HH
@@ -63,9 +65,18 @@ class DeviceProfiler
     /**
      * Profile an arbitrary device.
      *
+     * The eight dimensions run on min(4, hardware threads) workers,
+     * the calling thread included, and the result is bit-identical
+     * to running them one after another. If a dimension throws, the
+     * exception of the first failing dimension is rethrown once all
+     * have finished.
+     *
      * @param name Reported device name.
-     * @param factory Constructs the device under test.
-     * @param seed Determinism seed.
+     * @param factory Constructs the device under test. It is called
+     *        once per dimension from several threads at once, each
+     *        call with its own simulator, so it must not mutate
+     *        shared state.
+     * @param seed Determinism seed; dimension i runs at seed + i + 1.
      * @param run_seconds Measurement duration per dimension (after a
      *        warmup that places write-buffered devices in steady
      *        state).

@@ -119,8 +119,8 @@ QosTuner::tune(const device::SsdSpec &spec,
                double run_seconds, uint64_t seed, unsigned jobs)
 {
     // Warm the profiler cache before the paired pool: hostOptions()
-    // reads it from every worker, and first-use population is not
-    // concurrency-safe.
+    // reads it from every worker, and on a cold cache they would all
+    // wait on its lock while one of them profiles.
     (void)DeviceProfiler::profileSsd(spec);
 
     QosTuneResult out;

@@ -2,7 +2,7 @@
  * @file
  * bench_check — benchmark threshold gate.
  *
- * Compares a BENCH_kernel.json (the file bench/perf_kernel writes)
+ * Compares a BENCH_kernel.json (the file `perf_kernel --out` writes)
  * against a committed threshold file and fails with a readable diff
  * when any tracked quantity crossed its line. The point is to turn
  * the recorded benchmark document into CI state: a PR that
