@@ -736,7 +736,6 @@ sweepOptions(std::vector<std::string> specs)
         return std::make_unique<device::SsdModel>(
             sim, device::enterpriseSsd());
     };
-    o.reserveBios = 400'000;
     // The submission-path CPU cost is host state, not controller
     // state: the single-pass sweep pays it once on the generator
     // where four sequential runs pay it four times.
@@ -960,17 +959,29 @@ sweepVariance(int seeds, sim::Time run_for)
     return SweepVariance{cs, is, cs > 0.0 ? is / cs : 0.0};
 }
 
+/** The steady-state K=4 sweep lane's deterministic counts. */
+struct SweepAllocResult
+{
+    /** Heap allocations per generator bio in the window. */
+    double allocsPerBio = -1.0;
+    /** Generator bios completed in the window. */
+    uint64_t windowBios = 0;
+    /** The shared ServiceLog's peak live ids over the whole run. */
+    size_t peakLive = 0;
+};
+
 /**
  * Allocations per generator bio through the steady-state K=4 loop:
  * clone into four lanes, per-lane throttle, replay completion,
- * stats update, batched planning passes. With the shared log
- * pre-sized this must stay ~zero, same discipline as the plain bio
- * path.
+ * stats update, batched planning passes, and the shared log's
+ * open/release cycle. Once the log's table has grown to its
+ * in-flight high-water mark this must stay ~zero, same discipline
+ * as the plain bio path.
  */
-double
+SweepAllocResult
 sweepAllocsPerBio()
 {
-    double out = -1.0;
+    SweepAllocResult out;
     host::runSweep(
         sweepOptions(kSweepSpecs), 4242, 1,
         [&out](sim::Simulator &sim, host::SweepRunner &runner) {
@@ -1016,8 +1027,10 @@ sweepAllocsPerBio()
             const uint64_t a1 =
                 g_heapAllocs.load(std::memory_order_relaxed);
             const uint64_t c1 = completions();
-            out = static_cast<double>(a1 - a0) /
-                  static_cast<double>(c1 - c0);
+            out.allocsPerBio = static_cast<double>(a1 - a0) /
+                               static_cast<double>(c1 - c0);
+            out.windowBios = c1 - c0;
+            out.peakLive = runner.serviceLog().peakLive();
         },
         [](host::SweepRunner &, size_t, size_t) { return 0; });
     return out;
@@ -1291,15 +1304,38 @@ checkAllocs()
     // allocation (a string built for an assertion message, say)
     // already shows up at the 0.04 level.
     constexpr double kMaxSweepAllocsPerBio = 0.001;
-    const double sweep_allocs = sweepAllocsPerBio();
+    const SweepAllocResult sweep = sweepAllocsPerBio();
     std::printf("sweep path (K=4): %.4f allocs per generator bio\n",
-                sweep_allocs);
-    if (sweep_allocs < 0.0 || sweep_allocs > kMaxSweepAllocsPerBio) {
+                sweep.allocsPerBio);
+    if (sweep.allocsPerBio < 0.0 ||
+        sweep.allocsPerBio > kMaxSweepAllocsPerBio) {
         std::fprintf(stderr,
                      "FAIL: %.4f heap allocations per generator bio "
                      "across the K=4 sweep loop (limit %.3f) — the "
                      "multi-lane hot path is allocating\n",
-                     sweep_allocs, kMaxSweepAllocsPerBio);
+                     sweep.allocsPerBio, kMaxSweepAllocsPerBio);
+        ok = false;
+    }
+
+    // The same lane's log occupancy: the shared ServiceLog must hold
+    // only ids some lane (or the generator) still needs, not one
+    // slot per bio ever issued — a per-id log would read over 100%
+    // here. A count, so exact under any machine load.
+    constexpr double kMaxLiveShare = 0.01;
+    std::printf("sweep log: %zu peak live ids, %llu generator bios "
+                "in window\n",
+                sweep.peakLive,
+                static_cast<unsigned long long>(sweep.windowBios));
+    if (static_cast<double>(sweep.peakLive) >
+        kMaxLiveShare * static_cast<double>(sweep.windowBios)) {
+        std::fprintf(stderr,
+                     "FAIL: the sweep's ServiceLog peaked at %zu live "
+                     "ids, over %.0f%% of the %llu generator bios in "
+                     "the window — log entries are not being "
+                     "retired\n",
+                     sweep.peakLive, 100.0 * kMaxLiveShare,
+                     static_cast<unsigned long long>(
+                         sweep.windowBios));
         ok = false;
     }
 
@@ -1462,7 +1498,7 @@ main(int argc, char **argv)
                                        6 * sim::kSec);
     const SweepTiming sg = sweepTiming(grid, 5, 6 * sim::kSec);
     const SweepVariance sv = sweepVariance(8, 2 * sim::kSec);
-    const double sweep_allocs = sweepAllocsPerBio();
+    const double sweep_allocs = sweepAllocsPerBio().allocsPerBio;
 
     // Branchable-state costs (what-if service economics).
     const SnapshotResult snap = snapshotRun();

@@ -13,28 +13,30 @@
  * device randomness while their queueing/throttling timing stays
  * their own (common random numbers, paper-comparison semantics).
  *
- * Storage is O(total bios): one flat slot per id for the first
- * attempt (the overwhelmingly common case) plus a sparse side table
- * for retried attempts. `reserve()` pre-sizes the flat lane so the
- * steady-state append path does not touch the allocator.
+ * Storage is O(live ids), not O(total bios): an id lives from
+ * open() until its last holder releases it — the generator (at
+ * close()) and each lane (its copy's terminal completion, or the
+ * fused observer consuming the outcome for its member lanes). That
+ * is the requests in flight plus any throttled lane's backlog.
  */
 
 #ifndef IOCOST_BLK_SERVICE_LOG_HH
 #define IOCOST_BLK_SERVICE_LOG_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
 #include "blk/bio.hh"
+#include "sim/id_table.hh"
 #include "sim/inline_function.hh"
+#include "sim/logging.hh"
 #include "sim/time.hh"
 
 namespace iocost::blk {
 
 /**
- * Append-only log of device-side outcomes, written by the generator's
- * device model and read by per-lane replay devices.
+ * Outcome log of live ids, written by the generator's device model
+ * and read by per-lane replay devices.
  */
 class ServiceLog
 {
@@ -44,9 +46,6 @@ class ServiceLog
     {
         /** Accept-to-completion time the device delivered. */
         sim::Time duration = 0;
-        /** Generator time the outcome was drawn (fault-window
-         *  membership is judged against this instant). */
-        sim::Time drawTime = 0;
         /** Status drawn from the shared fault stream. */
         BioStatus status = BioStatus::Ok;
         bool valid = false;
@@ -56,30 +55,28 @@ class ServiceLog
      *  devices can resolve requests parked on a missing entry. */
     using Listener = sim::InlineFunction<void(uint64_t), 16>;
 
-    /** Pre-size the flat per-id lane (ids are 1-based, dense). */
+    /** Start tracking @p id; it stays live until released
+     *  @p holders times (close() is one of them). */
     void
-    reserve(size_t bios)
+    open(uint64_t id, uint32_t holders)
     {
-        slots_.reserve(bios);
+        slots_.insert(id).holders = holders;
+        peakLive_ = std::max(peakLive_, slots_.size());
     }
 
     /** Record the outcome of one device-accepted attempt. */
     void
-    append(uint64_t id, uint8_t attempt, sim::Time draw_time,
-           sim::Time duration, BioStatus status)
+    append(uint64_t id, uint8_t attempt, sim::Time duration,
+           BioStatus status)
     {
-        Slot &s = slot(id);
+        Slot &s = liveSlot(id);
         if (attempt == 0) {
-            s.first = Entry{duration, draw_time, status, true};
+            s.first = Entry{duration, status, true};
         } else {
-            auto &v = retries_[id];
-            if (v.size() < attempt)
-                v.resize(attempt);
-            v[attempt - 1] = Entry{duration, draw_time, status, true};
+            retries_.insert(retryKey(id, attempt)) =
+                Entry{duration, status, true};
         }
-        if (attempt > s.lastAttempt)
-            s.lastAttempt = attempt;
-        ++entries_;
+        s.lastAttempt = std::max(s.lastAttempt, attempt);
         notify(id);
     }
 
@@ -87,29 +84,70 @@ class ServiceLog
      * Mark an id terminal: the generator delivered its final
      * completion, no further attempts will be recorded. Lanes whose
      * retry schedule diverged past the generator's clamp to the last
-     * recorded attempt (see findClamped).
+     * recorded attempt (see findClamped). Listeners run first, then
+     * the generator's holder is released.
      */
     void
     close(uint64_t id)
     {
-        slot(id).closed = true;
+        liveSlot(id).closed = true;
         notify(id);
+        release(id);
+    }
+
+    /**
+     * Drop @p n holders of @p id; the last one erases the id and its
+     * retry entries. Panics when @p id has fewer than @p n holders
+     * left (unknown, already retired, or released twice).
+     */
+    void
+    release(uint64_t id, uint32_t n = 1)
+    {
+        sim::IdTable<Slot>::Cell *c = slots_.find(id);
+        sim::panicIf(c == nullptr || c->value.holders < n,
+                     "ServiceLog: release of an id with no holder "
+                     "left");
+        if ((c->value.holders -= n) != 0)
+            return;
+        for (unsigned a = 1; a <= c->value.lastAttempt; ++a) {
+            if (auto *r = retries_.find(
+                    retryKey(id, static_cast<uint8_t>(a))))
+                retries_.erase(*r);
+        }
+        slots_.erase(*c);
+    }
+
+    /**
+     * The completion every lane bio carries: releases one holder of
+     * the bio's id, so a lane lets go of an id exactly when its copy
+     * terminally completes. Captures one pointer, so it lives inline
+     * in the bio.
+     */
+    BioEndFn
+    releaser()
+    {
+        return [this](const Bio &bio) { release(bio.id); };
+    }
+
+    /** A lane's copy of generator bio @p src: the same request,
+     *  carrying releaser(). */
+    BioPtr
+    laneCopy(const Bio &src)
+    {
+        BioPtr bio = Bio::make(src.op, src.offset, src.size,
+                               src.cgroup, releaser());
+        bio->swap = src.swap;
+        bio->meta = src.meta;
+        bio->wb = src.wb;
+        return bio;
     }
 
     /** Exact lookup, or nullptr when not (yet) recorded. */
     const Entry *
     find(uint64_t id, uint8_t attempt) const
     {
-        const Slot *s = slotIfPresent(id);
-        if (s == nullptr)
-            return nullptr;
-        if (attempt == 0)
-            return s->first.valid ? &s->first : nullptr;
-        const auto it = retries_.find(id);
-        if (it == retries_.end() || it->second.size() < attempt)
-            return nullptr;
-        const Entry &e = it->second[attempt - 1];
-        return e.valid ? &e : nullptr;
+        const sim::IdTable<Slot>::Cell *c = slots_.find(id);
+        return c == nullptr ? nullptr : entry(id, c->value, attempt);
     }
 
     /**
@@ -123,11 +161,12 @@ class ServiceLog
     const Entry *
     findClamped(uint64_t id, uint8_t attempt) const
     {
-        const Slot *s = slotIfPresent(id);
-        if (s == nullptr)
+        const sim::IdTable<Slot>::Cell *c = slots_.find(id);
+        if (c == nullptr)
             return nullptr;
-        for (uint8_t a = std::min(attempt, s->lastAttempt);; --a) {
-            if (const Entry *e = find(id, a))
+        for (uint8_t a = std::min(attempt, c->value.lastAttempt);;
+             --a) {
+            if (const Entry *e = entry(id, c->value, a))
                 return e;
             if (a == 0)
                 break;
@@ -135,72 +174,70 @@ class ServiceLog
         return nullptr;
     }
 
-    /** True once close(id) ran. */
+    /** True once close(id) ran (and while the id is live). */
     bool
     closed(uint64_t id) const
     {
-        const Slot *s = slotIfPresent(id);
-        return s != nullptr && s->closed;
+        const sim::IdTable<Slot>::Cell *c = slots_.find(id);
+        return c != nullptr && c->value.closed;
     }
 
-    /** Highest attempt recorded for @p id. */
-    uint8_t
-    lastAttempt(uint64_t id) const
-    {
-        const Slot *s = slotIfPresent(id);
-        return s ? s->lastAttempt : 0;
-    }
+    /** The one listener, fired on append and close. */
+    void setListener(Listener fn) { listener_ = std::move(fn); }
 
-    /** Register a listener; all listeners fire on append and close. */
-    void
-    addListener(Listener fn)
-    {
-        listeners_.push_back(std::move(fn));
-    }
+    /** Ids open and not yet fully released. */
+    size_t live() const { return slots_.size(); }
 
-    /** Attempts recorded so far. */
-    uint64_t entries() const { return entries_; }
-
-    /** Ids touched so far (== highest id seen). */
-    uint64_t ids() const { return slots_.size(); }
+    /** Highest live() so far. */
+    size_t peakLive() const { return peakLive_; }
 
   private:
     struct Slot
     {
         Entry first;
+        uint32_t holders = 0;
         uint8_t lastAttempt = 0;
         bool closed = false;
     };
 
-    Slot &
-    slot(uint64_t id)
+    /** Retry attempts share the retry table, keyed by id with the
+     *  attempt in the top byte (bio ids stay far below 2^56). */
+    static uint64_t
+    retryKey(uint64_t id, uint8_t attempt)
     {
-        if (id > slots_.size())
-            slots_.resize(id);
-        return slots_[id - 1];
+        return id | (uint64_t{attempt} << 56);
     }
 
-    const Slot *
-    slotIfPresent(uint64_t id) const
+    Slot &
+    liveSlot(uint64_t id)
     {
-        if (id == 0 || id > slots_.size())
-            return nullptr;
-        return &slots_[id - 1];
+        sim::IdTable<Slot>::Cell *c = slots_.find(id);
+        sim::panicIf(c == nullptr, "ServiceLog: id is not live");
+        return c->value;
+    }
+
+    const Entry *
+    entry(uint64_t id, const Slot &s, uint8_t attempt) const
+    {
+        if (attempt == 0)
+            return s.first.valid ? &s.first : nullptr;
+        const sim::IdTable<Entry>::Cell *r =
+            retries_.find(retryKey(id, attempt));
+        return r == nullptr ? nullptr : &r->value;
     }
 
     void
     notify(uint64_t id)
     {
-        for (Listener &l : listeners_)
-            l(id);
+        if (listener_)
+            listener_(id);
     }
 
-    /** Flat first-attempt lane, indexed by id - 1. */
-    std::vector<Slot> slots_;
-    /** Sparse retry attempts (attempt a >= 1 at index a - 1). */
-    std::unordered_map<uint64_t, std::vector<Entry>> retries_;
-    std::vector<Listener> listeners_;
-    uint64_t entries_ = 0;
+    sim::IdTable<Slot> slots_;
+    /** Attempts >= 1, keyed by retryKey(). */
+    sim::IdTable<Entry> retries_;
+    Listener listener_;
+    size_t peakLive_ = 0;
 };
 
 } // namespace iocost::blk

@@ -143,7 +143,7 @@ HddModel::maybeStartService()
     // of the seek-bound device's behavior, not of any controller's.
     if (serviceLog() != nullptr) {
         serviceLog()->append(chosen.bio->id, chosen.bio->retries,
-                             now, now - chosen.accepted + svc,
+                             now - chosen.accepted + svc,
                              chosen.bio->status);
     }
 

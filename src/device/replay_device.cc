@@ -4,87 +4,49 @@
 
 namespace iocost::device {
 
-namespace {
-
-/** Round up to a power of two (minimum 8). */
-size_t
-pow2AtLeast(size_t n)
-{
-    size_t cap = 8;
-    while (cap < n)
-        cap *= 2;
-    return cap;
-}
-
-} // namespace
-
 ReplayDevice::ReplayDevice(sim::Simulator &sim,
                            const blk::ServiceLog &log,
                            uint32_t queue_depth,
                            std::string model_name)
     : sim_(sim), log_(log), depth_(queue_depth),
-      name_(std::move(model_name))
-{
-    // At most depth_ bios can be parked at once; doubling keeps the
-    // open-addressed table under 50% load so probe chains stay
-    // short, and means it is never resized.
-    pending_.resize(pow2AtLeast(static_cast<size_t>(depth_) * 2));
-}
-
-size_t
-ReplayDevice::cellIndex(uint64_t id) const
-{
-    // Fibonacci hashing; ids are dense and increasing, so even the
-    // raw id would probe well, but mixing is cheap insurance against
-    // stride patterns from interleaved cgroups.
-    return static_cast<size_t>(id * 0x9E3779B97F4A7C15ull) &
-           (pending_.size() - 1);
-}
+      name_(std::move(model_name)),
+      pending_(static_cast<size_t>(queue_depth) * 2)
+{}
 
 void
 ReplayDevice::park(blk::BioPtr bio)
 {
     const uint64_t id = bio->id;
-    size_t i = cellIndex(id);
-    while (pending_[i].id != 0)
-        i = (i + 1) & (pending_.size() - 1);
-    pending_[i].id = id;
-    pending_[i].bio = std::move(bio);
-    ++pendingCount_;
+    pending_.insert(id) = std::move(bio);
 }
 
 blk::BioPtr
 ReplayDevice::takePending(uint64_t id)
 {
-    if (pendingCount_ == 0)
+    sim::IdTable<blk::BioPtr>::Cell *c = pending_.find(id);
+    if (c == nullptr)
         return nullptr;
-    const size_t mask = pending_.size() - 1;
-    size_t i = cellIndex(id);
-    while (pending_[i].id != id) {
-        if (pending_[i].id == 0)
-            return nullptr;
-        i = (i + 1) & mask;
-    }
-    blk::BioPtr out = std::move(pending_[i].bio);
-
-    // Backward-shift deletion keeps probe chains tombstone-free: an
-    // element may slide into the hole iff the hole lies on its probe
-    // path (its home index is no closer to it than the hole is).
-    size_t hole = i;
-    size_t j = (hole + 1) & mask;
-    while (pending_[j].id != 0) {
-        const size_t home = cellIndex(pending_[j].id);
-        if (((j - home) & mask) >= ((j - hole) & mask)) {
-            pending_[hole] = std::move(pending_[j]);
-            pending_[j].id = 0;
-            hole = j;
-        }
-        j = (j + 1) & mask;
-    }
-    pending_[hole].id = 0;
-    pending_[hole].bio = nullptr;
-    --pendingCount_;
+    blk::BioPtr out = std::move(c->value);
+    pending_.erase(*c);
     return out;
+}
+
+std::optional<ReplayDevice::Outcome>
+ReplayDevice::outcome(const blk::Bio &bio) const
+{
+    const blk::ServiceLog::Entry *e = log_.find(bio.id, bio.retries);
+    if (e == nullptr) {
+        if (!log_.closed(bio.id))
+            return std::nullopt;
+        // The generator will never record this attempt. Clamp to
+        // the last recorded one; an id with no entries at all never
+        // reached the generator's device (expired while parked) and
+        // fails after a tick.
+        e = log_.findClamped(bio.id, bio.retries);
+        if (e == nullptr)
+            return Outcome{1, blk::BioStatus::Error};
+    }
+    return Outcome{std::max<sim::Time>(1, e->duration), e->status};
 }
 
 bool
@@ -93,60 +55,22 @@ ReplayDevice::submit(blk::BioPtr &bio)
     if (inFlight_ >= depth_)
         return false;
     ++inFlight_;
-    if (!tryResolve(bio))
+    const std::optional<Outcome> o = outcome(*bio);
+    if (!o) {
         park(std::move(bio));
-    return true;
-}
-
-bool
-ReplayDevice::tryResolve(blk::BioPtr &bio)
-{
-    if (const blk::ServiceLog::Entry *e =
-            log_.find(bio->id, bio->retries)) {
-        completeIn(std::move(bio), e->duration, e->status);
         return true;
     }
-    if (log_.closed(bio->id)) {
-        // The generator will never record this attempt. Clamp to
-        // the last recorded one; an id with no entries at all never
-        // reached the generator's device (expired while parked) and
-        // fails after a tick.
-        if (const blk::ServiceLog::Entry *e =
-                log_.findClamped(bio->id, bio->retries)) {
-            completeIn(std::move(bio), e->duration, e->status);
-        } else {
-            completeIn(std::move(bio), 1, blk::BioStatus::Error);
-        }
-        return true;
-    }
-    return false;
-}
-
-void
-ReplayDevice::completeIn(blk::BioPtr bio, sim::Time duration,
-                         blk::BioStatus status)
-{
-    bio->status = status;
-    duration = std::max<sim::Time>(1, duration);
+    bio->status = o->status;
     // Same shape as the real models: the bio moves into the
     // completion event's inline storage, no allocation.
     const sim::Time now = sim_.now();
-    sim_.at(now + duration,
+    sim_.at(now + o->duration,
             [this, owned = blk::BioCapture(std::move(bio)),
              now]() mutable {
                 --inFlight_;
                 finish(owned.take(), sim_.now() - now);
             });
-}
-
-void
-ReplayDevice::onLogEvent(uint64_t id)
-{
-    blk::BioPtr bio = takePending(id);
-    if (!bio)
-        return;
-    if (!tryResolve(bio))
-        park(std::move(bio)); // attempt still ahead of the log
+    return true;
 }
 
 void
@@ -156,24 +80,13 @@ ReplayDevice::resolveDetached(uint64_t id,
     blk::BioPtr bio = takePending(id);
     if (!bio)
         return;
-    const blk::ServiceLog::Entry *e = log_.find(bio->id, bio->retries);
-    if (e == nullptr) {
-        if (!log_.closed(bio->id)) {
-            park(std::move(bio)); // attempt still ahead of the log
-            return;
-        }
-        e = log_.findClamped(bio->id, bio->retries);
-        if (e == nullptr) {
-            // Closed with no entries: never reached the generator's
-            // device; fails after a tick (same as tryResolve).
-            bio->status = blk::BioStatus::Error;
-            out.push_back(Resolved{this, std::move(bio), 1});
-            return;
-        }
+    const std::optional<Outcome> o = outcome(*bio);
+    if (!o) {
+        park(std::move(bio)); // attempt still ahead of the log
+        return;
     }
-    bio->status = e->status;
-    out.push_back(Resolved{this, std::move(bio),
-                           std::max<sim::Time>(1, e->duration)});
+    bio->status = o->status;
+    out.push_back(Resolved{this, std::move(bio), o->duration});
 }
 
 void

@@ -16,9 +16,9 @@
  * accepts the original and records the outcome — nearly every bio
  * parks here for a moment. Parked bios are resolved by the
  * ServiceLog's append/close notifications, keyed by id: the pending
- * table is an open-addressed id → bio map so each notification
- * costs O(1) per lane, not a scan of the queue depth. In that
- * lockstep case every lane's bio completes at the *same* instant
+ * table is an sim::IdTable id → bio map so each notification costs
+ * O(1) per lane, not a scan of the queue depth. In that lockstep
+ * case every lane's bio completes at the *same* instant
  * (notification time + duration), so the SweepRunner batches all K
  * completions into one simulator event via resolveDetached() /
  * finishReplayed() instead of paying K event round trips per bio.
@@ -26,18 +26,21 @@
  * never made (divergent retry/timeout schedules) is clamped to the
  * last recorded attempt; a closed id with no entries at all (the
  * generator expired the bio before its device ever took it)
- * completes with an error after one tick.
+ * completes with an error after one tick. A lane bio holds its id's
+ * log entry until it terminally completes (see ServiceLog).
  */
 
 #ifndef IOCOST_DEVICE_REPLAY_DEVICE_HH
 #define IOCOST_DEVICE_REPLAY_DEVICE_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "blk/block_device.hh"
 #include "blk/service_log.hh"
+#include "sim/id_table.hh"
 #include "sim/simulator.hh"
 
 namespace iocost::device {
@@ -50,11 +53,8 @@ class ReplayDevice : public blk::BlockDevice
   public:
     /**
      * @param sim Simulation context (shared with the generator).
-     * @param log The shared outcome log. The owner must register
-     *        this device via log-listener wiring (the SweepRunner
-     *        installs one listener that calls onLogEvent on every
-     *        lane) — the device cannot do it itself because the log
-     *        outlives no lane in particular.
+     * @param log The shared outcome log. The SweepRunner owns its
+     *        listener and calls resolveDetached() on every lane.
      * @param queue_depth Queue depth to mirror (the generator
      *        device's, so depletion signals stay comparable).
      * @param model_name Name reported by modelName().
@@ -66,12 +66,6 @@ class ReplayDevice : public blk::BlockDevice
     uint32_t queueDepth() const override { return depth_; }
     uint32_t inFlight() const override { return inFlight_; }
     std::string modelName() const override { return name_; }
-
-    /**
-     * The ServiceLog recorded or closed @p id: try to resolve the
-     * pending bio with that id, if this lane parked one.
-     */
-    void onLogEvent(uint64_t id);
 
     /**
      * A resolved parked bio awaiting its batched completion. The
@@ -86,11 +80,12 @@ class ReplayDevice : public blk::BlockDevice
     };
 
     /**
-     * Batched variant of onLogEvent: resolve this lane's parked bio
-     * with @p id, if any, and push the outcome onto @p out instead
-     * of scheduling a completion event. The caller (SweepRunner)
-     * groups equal-duration outcomes from all lanes into a single
-     * simulator event and delivers each via finishReplayed().
+     * The ServiceLog recorded or closed @p id: resolve this lane's
+     * parked bio with that id, if any, and push the outcome onto
+     * @p out instead of scheduling a completion event. The caller
+     * (SweepRunner) groups equal-duration outcomes from all lanes
+     * into a single simulator event and delivers each via
+     * finishReplayed().
      */
     void resolveDetached(uint64_t id, std::vector<Resolved> &out);
 
@@ -98,7 +93,7 @@ class ReplayDevice : public blk::BlockDevice
     void finishReplayed(blk::BioPtr bio, sim::Time duration);
 
     /** Bios parked on a not-yet-recorded outcome. */
-    size_t pendingCount() const { return pendingCount_; }
+    size_t pendingCount() const { return pending_.size(); }
 
     /**
      * @name Fused-lane hooks (host::FusedObserver).
@@ -131,36 +126,27 @@ class ReplayDevice : public blk::BlockDevice
     /** @} */
 
   private:
-    /**
-     * One parked bio, keyed by id. id == 0 marks an empty cell (bio
-     * ids are 1-based). Linear probing with backward-shift erase;
-     * capacity is pre-sized to twice the queue depth (the table can
-     * never hold more than `depth_` bios), so the park/resolve cycle
-     * never touches the allocator.
-     */
-    struct Cell
+    /** A resolved attempt: completion delay (>= 1 tick) and status. */
+    struct Outcome
     {
-        uint64_t id = 0;
-        blk::BioPtr bio;
+        sim::Time duration;
+        blk::BioStatus status;
     };
 
-    size_t cellIndex(uint64_t id) const;
+    /** @p bio's outcome from the log, or nullopt while its attempt
+     *  is still ahead of the log. */
+    std::optional<Outcome> outcome(const blk::Bio &bio) const;
+
     void park(blk::BioPtr bio);
     blk::BioPtr takePending(uint64_t id);
-
-    /** Schedule the completion of an accepted bio. */
-    void completeIn(blk::BioPtr bio, sim::Time duration,
-                    blk::BioStatus status);
-    /** Resolve one bio against the log; false = keep pending. */
-    bool tryResolve(blk::BioPtr &bio);
 
     sim::Simulator &sim_;
     const blk::ServiceLog &log_;
     uint32_t depth_;
     std::string name_;
     uint32_t inFlight_ = 0;
-    std::vector<Cell> pending_;
-    size_t pendingCount_ = 0;
+    /** Parked bios by id; twice the queue depth, so it never grows. */
+    sim::IdTable<blk::BioPtr> pending_;
 };
 
 } // namespace iocost::device

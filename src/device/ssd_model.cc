@@ -175,7 +175,7 @@ SsdModel::submit(blk::BioPtr &bio)
                    std::greater<>{});
 
     if (serviceLog() != nullptr) {
-        serviceLog()->append(bio->id, bio->retries, now, done - now,
+        serviceLog()->append(bio->id, bio->retries, done - now,
                              bio->status);
     }
 

@@ -12,16 +12,6 @@ namespace {
 /** Same epsilon the iocost issue path uses for weight guards. */
 constexpr double kEps = 1e-9;
 
-/** Round up to a power of two (minimum 8). */
-size_t
-pow2AtLeast(size_t n)
-{
-    size_t cap = 8;
-    while (cap < n)
-        cap *= 2;
-    return cap;
-}
-
 bool
 sameModel(const core::CostModel &a, const core::CostModel &b)
 {
@@ -37,17 +27,11 @@ sameModel(const core::CostModel &a, const core::CostModel &b)
 
 FusedObserver::FusedObserver(sim::Simulator &sim,
                              blk::BlockLayer &generator_layer,
-                             const blk::ServiceLog &log,
+                             blk::ServiceLog &log,
                              uint32_t queue_depth)
-    : sim_(sim), generatorLayer_(generator_layer), log_(log)
-{
-    // A fused record lives strictly inside a device-slot lifetime,
-    // so at most queue_depth records coexist; doubling keeps the
-    // open-addressed table under 50% load. growRecords() still
-    // exists as a safety valve — the invariant is structural, not
-    // enforced.
-    records_.resize(pow2AtLeast(static_cast<size_t>(queue_depth) * 2));
-}
+    : sim_(sim), generatorLayer_(generator_layer), log_(log),
+      records_(static_cast<size_t>(queue_depth) * 2)
+{}
 
 void
 FusedObserver::addLane(blk::BlockLayer &layer,
@@ -139,11 +123,7 @@ FusedObserver::materialize(const blk::Bio &src, uint64_t id,
                            sim::Time submit_time,
                            double controller_scratch) const
 {
-    blk::BioPtr bio =
-        blk::Bio::make(src.op, src.offset, src.size, src.cgroup);
-    bio->swap = src.swap;
-    bio->meta = src.meta;
-    bio->wb = src.wb;
+    blk::BioPtr bio = log_.laneCopy(src);
     bio->id = id;
     bio->submitTime = submit_time;
     bio->controllerScratch = controller_scratch;
@@ -153,8 +133,8 @@ FusedObserver::materialize(const blk::Bio &src, uint64_t id,
 blk::BioPtr
 FusedObserver::materializeRecord(uint64_t id, const Record &rec) const
 {
-    blk::BioPtr bio =
-        blk::Bio::make(rec.op, rec.offset, rec.size, rec.cg);
+    blk::BioPtr bio = blk::Bio::make(rec.op, rec.offset, rec.size,
+                                     rec.cg, log_.releaser());
     bio->swap = rec.swap;
     bio->meta = rec.meta;
     bio->wb = rec.wb;
@@ -199,17 +179,12 @@ FusedObserver::onGeneratorBio(const blk::Bio &bio)
     }
 
     const bool oddity = bio.swap || bio.meta || bio.wb;
-    Cell *rec = nullptr;
+    Record *rec = nullptr;
     for (size_t k = 0; k < lanes_.size(); ++k) {
         LaneRef &ln = lanes_[k];
         if (!ln.fused) {
             // Full path: the lane runs its own controller stack.
-            blk::BioPtr clone = blk::Bio::make(
-                bio.op, bio.offset, bio.size, bio.cgroup);
-            clone->swap = bio.swap;
-            clone->meta = bio.meta;
-            clone->wb = bio.wb;
-            ln.layer->submit(std::move(clone));
+            ln.layer->submit(log_.laneCopy(bio));
             continue;
         }
 
@@ -258,9 +233,13 @@ FusedObserver::onGeneratorBio(const blk::Bio &bio)
 
         if (ln.layer->dispatchQueueDepth() == 0 &&
             ln.dev->fusedAcquire()) {
-            if (rec == nullptr)
-                rec = insertRecord(bio.id, bio, now);
-            rec->rec.lanes |= uint64_t{1} << k;
+            if (rec == nullptr) {
+                rec = &records_.insert(bio.id);
+                *rec = Record{0, bio.offset, bio.size, bio.op,
+                              bio.swap, bio.meta, bio.wb,
+                              bio.cgroup, now};
+            }
+            rec->lanes |= uint64_t{1} << k;
             ++fusedLaneBios_;
             continue;
         }
@@ -304,45 +283,47 @@ FusedObserver::diverge(size_t k)
     flushDeferred();
     ln.fused = false;
     fusedMask_ &= ~(uint64_t{1} << k);
-    if (recordCount_ == 0)
-        return;
     // Materialize every fused in-flight request this lane is a
     // member of into its real pending table; their device slots
     // stay held (acquired at issue). Cleared-to-zero records stay
     // in the table until their log event consumes them.
     const uint64_t bit = uint64_t{1} << k;
-    for (Cell &c : records_) {
-        if (c.id == 0 || (c.rec.lanes & bit) == 0)
-            continue;
-        c.rec.lanes &= ~bit;
-        ln.dev->adoptParked(materializeRecord(c.id, c.rec));
-    }
+    records_.forEach([&](uint64_t id, Record &rec) {
+        if ((rec.lanes & bit) == 0)
+            return;
+        rec.lanes &= ~bit;
+        ln.dev->adoptParked(materializeRecord(id, rec));
+    });
 }
 
 void
 FusedObserver::onLogEvent(uint64_t id)
 {
-    Cell *c = findRecord(id);
+    sim::IdTable<Record>::Cell *c = records_.find(id);
     if (c == nullptr)
         return;
-    if (c->rec.lanes == 0) {
+    const Record rec = c->value;
+    if (rec.lanes == 0) {
         // Every member lane forked since issue; nothing fused left.
-        eraseRecord(id);
+        records_.erase(*c);
         return;
     }
     const blk::ServiceLog::Entry *e = log_.find(id, 0);
     if (e == nullptr && !log_.closed(id))
         return; // outcome still ahead of the log; stay parked
+    records_.erase(*c);
     if (e != nullptr && e->status == blk::BioStatus::Ok) {
         // Lockstep completion: one pooled event delivers all member
         // lanes' completions `duration` later. The record is
         // consumed now — the close(id) notification that follows
-        // must not re-schedule it.
+        // must not re-schedule it — and with it the member lanes'
+        // holds on the log entry.
         const uint32_t slot = allocFire();
-        firePool_[slot].rec = c->rec;
+        firePool_[slot].rec = rec;
         firePool_[slot].duration =
             std::max<sim::Time>(1, e->duration);
-        eraseRecord(id);
+        log_.release(id, static_cast<uint32_t>(
+                             __builtin_popcountll(rec.lanes)));
         sim_.at(sim_.now() + firePool_[slot].duration,
                 [this, slot] { fireFused(slot); });
         return;
@@ -352,8 +333,6 @@ FusedObserver::onLogEvent(uint64_t id)
     // only. The member lanes get real parked bios, and the caller's
     // per-lane resolve pass (running right after this) applies the
     // full path's retry/clamp/error machinery to them.
-    const Record rec = c->rec;
-    eraseRecord(id);
     for (uint64_t mask = rec.lanes; mask != 0; mask &= mask - 1) {
         const size_t k =
             static_cast<size_t>(__builtin_ctzll(mask));
@@ -530,97 +509,6 @@ FusedObserver::onPlanBoundary()
                  static_cast<double>(fused));
         tel.emit(now, "sweep", stat::kNoCgroup, "diverged_lanes",
                  static_cast<double>(lanes_.size() - fused));
-    }
-}
-
-size_t
-FusedObserver::cellIndex(uint64_t id) const
-{
-    // Fibonacci hashing, same rationale as ReplayDevice's table.
-    return static_cast<size_t>(id * 0x9E3779B97F4A7C15ull) &
-           (records_.size() - 1);
-}
-
-FusedObserver::Cell *
-FusedObserver::findRecord(uint64_t id)
-{
-    if (recordCount_ == 0)
-        return nullptr;
-    const size_t mask = records_.size() - 1;
-    size_t i = cellIndex(id);
-    while (records_[i].id != id) {
-        if (records_[i].id == 0)
-            return nullptr;
-        i = (i + 1) & mask;
-    }
-    return &records_[i];
-}
-
-FusedObserver::Cell *
-FusedObserver::insertRecord(uint64_t id, const blk::Bio &bio,
-                            sim::Time now)
-{
-    if ((recordCount_ + 1) * 2 > records_.size())
-        growRecords();
-    const size_t mask = records_.size() - 1;
-    size_t i = cellIndex(id);
-    while (records_[i].id != 0)
-        i = (i + 1) & mask;
-    Cell &c = records_[i];
-    c.id = id;
-    c.rec.lanes = 0;
-    c.rec.offset = bio.offset;
-    c.rec.size = bio.size;
-    c.rec.op = bio.op;
-    c.rec.swap = bio.swap;
-    c.rec.meta = bio.meta;
-    c.rec.wb = bio.wb;
-    c.rec.cg = bio.cgroup;
-    c.rec.time = now;
-    ++recordCount_;
-    return &c;
-}
-
-void
-FusedObserver::eraseRecord(uint64_t id)
-{
-    const size_t mask = records_.size() - 1;
-    size_t i = cellIndex(id);
-    while (records_[i].id != id)
-        i = (i + 1) & mask;
-
-    // Backward-shift deletion (see ReplayDevice::takePending).
-    size_t hole = i;
-    size_t j = (hole + 1) & mask;
-    while (records_[j].id != 0) {
-        const size_t home = cellIndex(records_[j].id);
-        if (((j - home) & mask) >= ((j - hole) & mask)) {
-            records_[hole] = records_[j];
-            records_[j].id = 0;
-            hole = j;
-        }
-        j = (j + 1) & mask;
-    }
-    records_[hole].id = 0;
-    --recordCount_;
-}
-
-void
-FusedObserver::growRecords()
-{
-    std::vector<Cell> old = std::move(records_);
-    records_.clear();
-    records_.resize(old.size() * 2);
-    recordCount_ = 0;
-    for (Cell &c : old) {
-        if (c.id == 0)
-            continue;
-        const size_t mask = records_.size() - 1;
-        size_t i = cellIndex(c.id);
-        while (records_[i].id != 0)
-            i = (i + 1) & mask;
-        records_[i] = c;
-        ++recordCount_;
     }
 }
 

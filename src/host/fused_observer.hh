@@ -28,7 +28,9 @@
  *    record keyed by bio id with a member-lane bitmask, instead of
  *    K parked bios in K pending tables;
  *  - when the log records the Ok outcome, one pooled simulator
- *    event delivers all member lanes' completions;
+ *    event delivers all member lanes' completions, and the member
+ *    lanes' holds on the log entry are released at once (the
+ *    completion needs only the record);
  *  - accounting that is an order-independent integer monoid — the
  *    layers' per-cgroup count/byte/histogram stats, the controllers'
  *    period latency histograms, the submitted/completed/nextBioId
@@ -73,6 +75,7 @@
 #include "blk/service_log.hh"
 #include "core/iocost.hh"
 #include "device/replay_device.hh"
+#include "sim/id_table.hh"
 #include "sim/simulator.hh"
 
 namespace iocost::host {
@@ -94,7 +97,7 @@ class FusedObserver
      */
     FusedObserver(sim::Simulator &sim,
                   blk::BlockLayer &generator_layer,
-                  const blk::ServiceLog &log, uint32_t queue_depth);
+                  blk::ServiceLog &log, uint32_t queue_depth);
 
     FusedObserver(const FusedObserver &) = delete;
     FusedObserver &operator=(const FusedObserver &) = delete;
@@ -116,10 +119,11 @@ class FusedObserver
 
     /**
      * ServiceLog append/close for @p id. Consumes the fused record,
-     * if any: an Ok outcome schedules the batched fused completion;
-     * an error (or closed-with-no-entry) outcome forks the record
-     * into real parked bios so the caller's per-lane resolve pass
-     * handles retry/clamp exactly like the full path.
+     * if any: an Ok outcome schedules the batched fused completion
+     * and releases one log hold per member lane; an error (or
+     * closed-with-no-entry) outcome forks the record into real
+     * parked bios so the caller's per-lane resolve pass handles
+     * retry/clamp exactly like the full path.
      */
     void onLogEvent(uint64_t id);
 
@@ -234,13 +238,6 @@ class FusedObserver
         sim::Time time = 0;
     };
 
-    /** Open-addressed id -> Record cell (id == 0 marks empty). */
-    struct Cell
-    {
-        uint64_t id = 0;
-        Record rec;
-    };
-
     /** Pooled pending fused completion (freelisted slots). */
     struct Fire
     {
@@ -249,13 +246,6 @@ class FusedObserver
         uint32_t nextFree = kNoFire;
     };
     static constexpr uint32_t kNoFire = UINT32_MAX;
-
-    size_t cellIndex(uint64_t id) const;
-    Cell *findRecord(uint64_t id);
-    Cell *insertRecord(uint64_t id, const blk::Bio &bio,
-                       sim::Time now);
-    void eraseRecord(uint64_t id);
-    void growRecords();
 
     /** Fork lane @p k off the fused path, materializing its fused
      *  in-flight records as real parked bios (flushes the deferred
@@ -295,7 +285,7 @@ class FusedObserver
 
     sim::Simulator &sim_;
     blk::BlockLayer &generatorLayer_;
-    const blk::ServiceLog &log_;
+    blk::ServiceLog &log_;
 
     std::vector<LaneRef> lanes_;
     std::vector<CostGroup> groups_;
@@ -305,8 +295,9 @@ class FusedObserver
      *  all lanes observe the identical per-cgroup stream. */
     std::vector<uint64_t> lastEnd_;
 
-    std::vector<Cell> records_;
-    size_t recordCount_ = 0;
+    /** Fused in-flight records by id; twice the queue depth, since
+     *  a record lives inside a device-slot lifetime. */
+    sim::IdTable<Record> records_;
 
     std::vector<Fire> firePool_;
     uint32_t freeFire_ = kNoFire;

@@ -27,8 +27,9 @@ parseSpecOrThrow(const SweepOptions &opts, const std::string &line)
  * clones every submission into the lanes (before dispatching the
  * original, so lane bio ids stay in submission-order lockstep with
  * the generator's even when a dispatch runs completions inline that
- * re-enter submit()) and closes each id in the shared log when the
- * generator delivers the final completion.
+ * re-enter submit()) and closes each id in the shared log — the
+ * generator's release of it — when the generator delivers the final
+ * completion.
  */
 class TapController final : public blk::IoController
 {
@@ -122,8 +123,6 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
     ho.telemetrySink = opts_.generatorSink;
     generator_ = std::make_unique<Host>(sim_, opts_.makeDevice(sim_),
                                         std::move(ho));
-    if (opts_.reserveBios > 0)
-        log_.reserve(opts_.reserveBios);
     generator_->device().setServiceLog(&log_);
     generator_->layer().setMergeEnabled(false);
     generator_->layer().setController(
@@ -222,7 +221,7 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
     }
 
     resolveScratch_.reserve(lanes_.size());
-    log_.addListener([this](uint64_t id) { onLogEvent(id); });
+    log_.setListener([this](uint64_t id) { onLogEvent(id); });
 }
 
 void
@@ -335,18 +334,16 @@ SweepRunner::addSystemService(const std::string &name,
 void
 SweepRunner::cloneToLanes(const blk::Bio &bio)
 {
+    // One hold for the generator (released by close()) and one per
+    // lane (released by its copy's terminal completion, or by the
+    // fused observer when it consumes the outcome).
+    log_.open(bio.id, static_cast<uint32_t>(lanes_.size()) + 1);
     if (fused_) {
         fused_->onGeneratorBio(bio);
         return;
     }
-    for (Lane &lane : lanes_) {
-        blk::BioPtr clone =
-            blk::Bio::make(bio.op, bio.offset, bio.size, bio.cgroup);
-        clone->swap = bio.swap;
-        clone->meta = bio.meta;
-        clone->wb = bio.wb;
-        lane.layer.submit(std::move(clone));
-    }
+    for (Lane &lane : lanes_)
+        lane.layer.submit(log_.laneCopy(bio));
 }
 
 void

@@ -10,7 +10,9 @@
  * own cgroup tree, block layer, and controller — backed by a
  * ReplayDevice that completes each (bio id, attempt) with the
  * duration and fault status the generator's device recorded in the
- * shared ServiceLog.
+ * shared ServiceLog. The log keeps an id only while the generator or
+ * some lane still needs it, so sweep memory follows the requests in
+ * flight (plus any throttled lane's backlog), not the run length.
  *
  * Shared vs per-lane state:
  *  - shared: the workload arrival stream, the device-model service
@@ -102,7 +104,8 @@ struct SweepOptions
     std::vector<stat::TelemetrySink *> laneSinks;
     bool telemetryDetail = false;
 
-    /** Pre-size the shared ServiceLog (expected total bios). */
+    /** Ignored: the ServiceLog holds only live ids and sizes itself.
+     *  Kept so existing callers compile. */
     size_t reserveBios = 0;
 
     /**
@@ -165,7 +168,8 @@ class SweepRunner
     /** The generator host (device, cgroup ids, fault injector). */
     Host &generator() { return *generator_; }
 
-    /** The shared outcome log (shadow mode; empty in plain mode). */
+    /** The shared outcome log (shadow mode; empty in plain mode).
+     *  live() == 0 once every lane has drained. */
     const blk::ServiceLog &serviceLog() const { return log_; }
 
     /** Create a container cgroup in every tree; returns the id

@@ -131,6 +131,18 @@ sweepBody(sim::Simulator &sim, host::SweepRunner &runner)
     sim.runUntil(1500 * sim::kMsec);
 }
 
+/**
+ * Drain every lane past the stop point, then check that the shared
+ * log retired every id: a leftover id is a missed release (a doubled
+ * one panics inside the log).
+ */
+void
+expectLogDrained(sim::Simulator &sim, host::SweepRunner &runner)
+{
+    sim.runUntil(sim.now() + 30 * sim::kSec);
+    EXPECT_EQ(runner.serviceLog().live(), 0u);
+}
+
 LaneCounters
 collectLane(host::SweepRunner &runner, size_t lane)
 {
@@ -154,7 +166,11 @@ runSpecs(std::vector<std::string> specs, unsigned jobs,
          const std::string &faults = "")
 {
     return host::runSweep(
-        baseOptions(std::move(specs), faults), 99, jobs, sweepBody,
+        baseOptions(std::move(specs), faults), 99, jobs,
+        [](sim::Simulator &sim, host::SweepRunner &runner) {
+            sweepBody(sim, runner);
+            expectLogDrained(sim, runner);
+        },
         [](host::SweepRunner &runner, size_t lane, size_t) {
             return collectLane(runner, lane);
         });
@@ -256,6 +272,7 @@ TEST(SweepRunner, SharedFaultStreamDivergentQueueing)
             sim.runUntil(600 * sim::kMsec);
             job.stop();
             sim.runUntil(30 * sim::kSec);
+            EXPECT_EQ(runner.serviceLog().live(), 0u);
         },
         [](host::SweepRunner &runner, size_t lane, size_t) {
             return collectLane(runner, lane);
@@ -270,6 +287,33 @@ TEST(SweepRunner, SharedFaultStreamDivergentQueueing)
     EXPECT_EQ(res[0].reads, res[1].reads);
     // Divergent queueing: a 20x vrate gap must show up in latency.
     EXPECT_NE(res[0].p99, res[1].p99);
+}
+
+TEST(SweepRunner, LongOpenLoopSweepLogFollowsWorkInFlight)
+{
+    // Twenty simulated seconds of a 5000/s open-loop reader under
+    // configs that never throttle it: the log may hold only the ids
+    // still in flight somewhere, never one per bio issued (100k
+    // here).
+    host::SweepOptions opts =
+        baseOptions({kSpecA, "iocost min=100 max=100 period=50000",
+                     kSpecC});
+    sim::Simulator sim(5);
+    host::SweepRunner runner(sim, std::move(opts));
+    runner.addWorkload("app", 200);
+    workload::FioConfig cfg;
+    cfg.arrival = workload::Arrival::Rate;
+    cfg.ratePerSec = 5000;
+    workload::FioWorkload job(sim, runner.layer(),
+                              runner.workloadCgroups()[0].second, cfg);
+    job.start();
+    sim.runUntil(20 * sim::kSec);
+    job.stop();
+    EXPECT_GT(runner.layer().stats(runner.workloadCgroups()[0].second)
+                  .reads,
+              99'000u);
+    EXPECT_LT(runner.serviceLog().peakLive(), 64u);
+    expectLogDrained(sim, runner);
 }
 
 TEST(SweepRunner, ConstructionErrors)

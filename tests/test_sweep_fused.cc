@@ -138,6 +138,10 @@ fuzzBody(sim::Simulator &sim, host::SweepRunner &runner,
     // Far past the stop point: the hard-clamped lanes must fully
     // drain their queues or the per-lane counters cannot agree.
     sim.runUntil(20 * sim::kSec);
+    // Drained, every id's holders have let go — across forks,
+    // refusions and error forks, fused or not. A leftover id is a
+    // missed release (a doubled one panics inside the log).
+    EXPECT_EQ(runner.serviceLog().live(), 0u);
 }
 
 /** Clamp ladder + a foreign mechanism + a second planning period:
@@ -293,6 +297,7 @@ TEST(SweepFused, CoherentLanesMatchPlainHosts)
         sim.runUntil(600 * sim::kMsec);
         job.stop();
         sim.runUntil(1500 * sim::kMsec);
+        EXPECT_EQ(runner.serviceLog().live(), 0u);
     };
     double fraction = 0.0;
     const auto lanes = host::runSweep(
