@@ -25,11 +25,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <new>
 #include <queue>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -46,6 +47,8 @@
 #include "profile/device_profiler.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
+#include "sim/json.hh"
+#include "sim/parse.hh"
 #include "sim/simulator.hh"
 #include "mm/page_cache.hh"
 #include "stat/telemetry.hh"
@@ -1392,17 +1395,19 @@ checkAllocs()
     // Non-regression against the tracked baseline, when present.
     // Skipped in sanitized builds: the floor is an absolute rate
     // recorded from an optimized tree (see IOCOST_BENCH_SANITIZED).
+    // A baseline present but unreadable fails rather than skips.
 #ifndef IOCOST_BENCH_SANITIZED
-    if (FILE *f = std::fopen("BENCH_kernel.json", "r")) {
-        char buf[8192];
-        const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-        buf[n] = '\0';
-        std::fclose(f);
+    if (std::filesystem::exists("BENCH_kernel.json")) {
         double recorded = 0.0;
-        if (const char *p = std::strstr(buf, "\"bios_per_sec\":")) {
-            recorded = std::strtod(p + std::strlen(
-                                           "\"bios_per_sec\":"),
-                                   nullptr);
+        try {
+            const std::string text = sim::specArgument("@BENCH_kernel.json");
+            recorded = sim::json::parse(text).at("bio_path").number(
+                "bios_per_sec");
+        } catch (const std::invalid_argument &err) {
+            std::fprintf(stderr, "FAIL: BENCH_kernel.json bio_path."
+                                 "bios_per_sec: %s\n",
+                         err.what());
+            ok = false;
         }
         if (recorded > 0.0 && rate < kMinVsRecorded * recorded) {
             std::fprintf(stderr,

@@ -1,9 +1,10 @@
 #include "fleet/fleet_aggregate.hh"
 
 #include <cassert>
-#include <cctype>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
+#include <stdexcept>
+
+#include "sim/json.hh"
 
 namespace iocost::fleet {
 
@@ -187,102 +188,53 @@ writeAggregateJson(const AggregateView &view, FILE *out)
 
 namespace {
 
-/**
- * Find `"key":` at/after @p from and return the offset of the first
- * character of the value, or npos. Only has to understand the output
- * of writeAggregateJson (no escaped quotes inside keys).
- */
-size_t
-valueOf(const std::string &text, const char *key, size_t from)
+/** Member @p key of @p obj as an unsigned count. */
+unsigned
+u32(const sim::json::Value &obj, const char *key)
 {
-    const std::string needle = std::string("\"") + key + "\"";
-    size_t pos = text.find(needle, from);
-    if (pos == std::string::npos)
-        return std::string::npos;
-    pos = text.find(':', pos + needle.size());
-    if (pos == std::string::npos)
-        return std::string::npos;
-    ++pos;
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])))
-        ++pos;
-    return pos;
+    const uint64_t n = obj.count(key);
+    if (n > UINT32_MAX)
+        throw std::invalid_argument("key \"" + std::string(key) +
+                                    "\": out of range");
+    return static_cast<unsigned>(n);
 }
 
-double
-numOf(const std::string &text, const char *key, size_t from,
-      double fallback = 0.0)
+AggregateView
+aggregateOf(const sim::json::Value &doc)
 {
-    const size_t pos = valueOf(text, key, from);
-    if (pos == std::string::npos)
-        return fallback;
-    return std::strtod(text.c_str() + pos, nullptr);
-}
-
-AggregateView::CtlSummary
-readCtl(const std::string &text, size_t from)
-{
-    AggregateView::CtlSummary c;
-    c.fetchCount =
-        static_cast<uint64_t>(numOf(text, "fetch_count", from));
-    c.fetchP50Ms = numOf(text, "fetch_p50_ms", from);
-    c.fetchP99Ms = numOf(text, "fetch_p99_ms", from);
-    c.fetchMeanMs = numOf(text, "fetch_mean_ms", from);
-    c.cleanupCount =
-        static_cast<uint64_t>(numOf(text, "cleanup_count", from));
-    c.cleanupP50Ms = numOf(text, "cleanup_p50_ms", from);
-    c.cleanupP99Ms = numOf(text, "cleanup_p99_ms", from);
-    c.cleanupMeanMs = numOf(text, "cleanup_mean_ms", from);
-    return c;
-}
-
-} // namespace
-
-std::optional<AggregateView>
-readAggregateJson(const std::string &text)
-{
-    if (text.find("\"fleet_aggregate\"") == std::string::npos)
-        return std::nullopt;
     AggregateView v;
-    v.hosts = static_cast<unsigned>(numOf(text, "hosts", 0));
-    v.days = static_cast<unsigned>(numOf(text, "days", 0));
-    v.hostDays = static_cast<uint64_t>(numOf(text, "host_days", 0));
-    v.shards = static_cast<unsigned>(numOf(text, "shards", 0));
-    v.jobs = static_cast<unsigned>(numOf(text, "jobs", 0));
+    v.hosts = u32(doc, "hosts");
+    v.days = u32(doc, "days");
+    v.hostDays = doc.count("host_days");
+    v.shards = u32(doc, "shards");
+    v.jobs = u32(doc, "jobs");
+    const sim::json::Value &summary = doc.at("summary");
     for (unsigned c = 0; c < 2; ++c) {
-        const size_t pos = valueOf(text, kCtlNames[c], 0);
-        if (pos != std::string::npos)
-            v.ctl[c] = readCtl(text, pos);
+        const sim::json::Value &s = summary.at(kCtlNames[c]);
+        AggregateView::CtlSummary &o = v.ctl[c];
+        o.fetchCount = s.count("fetch_count");
+        o.fetchP50Ms = s.number("fetch_p50_ms");
+        o.fetchP99Ms = s.number("fetch_p99_ms");
+        o.fetchMeanMs = s.number("fetch_mean_ms");
+        o.cleanupCount = s.count("cleanup_count");
+        o.cleanupP50Ms = s.number("cleanup_p50_ms");
+        o.cleanupP99Ms = s.number("cleanup_p99_ms");
+        o.cleanupMeanMs = s.number("cleanup_mean_ms");
     }
-    size_t pos = valueOf(text, "per_day", 0);
-    if (pos != std::string::npos) {
-        // Objects inside the array are one-per-line; walk them until
-        // the closing bracket.
-        while (true) {
-            const size_t obj = text.find('{', pos);
-            const size_t end = text.find(']', pos);
-            if (obj == std::string::npos ||
-                (end != std::string::npos && end < obj))
-                break;
-            FleetDayResult d;
-            d.day = static_cast<unsigned>(numOf(text, "day", obj));
-            d.fractionOnIoCost = numOf(text, "on_iocost", obj);
-            d.fetchAttempts = static_cast<unsigned>(
-                numOf(text, "fetch_attempts", obj));
-            d.fetchFailures = static_cast<unsigned>(
-                numOf(text, "fetch_failures", obj));
-            d.cleanupAttempts = static_cast<unsigned>(
-                numOf(text, "cleanup_attempts", obj));
-            d.cleanupFailures = static_cast<unsigned>(
-                numOf(text, "cleanup_failures", obj));
-            v.perDay.push_back(d);
-            pos = text.find('}', obj);
-            if (pos == std::string::npos)
-                break;
-        }
+    for (const sim::json::Value &day : doc.at("per_day").items) {
+        FleetDayResult d;
+        d.day = u32(day, "day");
+        d.fractionOnIoCost = day.number("on_iocost");
+        d.fetchAttempts = u32(day, "fetch_attempts");
+        d.fetchFailures = u32(day, "fetch_failures");
+        d.cleanupAttempts = u32(day, "cleanup_attempts");
+        d.cleanupFailures = u32(day, "cleanup_failures");
+        v.perDay.push_back(d);
     }
     return v;
 }
+
+} // namespace
 
 void
 writeSweepJson(const SweepView &view, FILE *out)
@@ -291,17 +243,11 @@ writeSweepJson(const SweepView &view, FILE *out)
                  "\"entries\": [\n",
             view.entries.size());
     for (size_t i = 0; i < view.entries.size(); ++i) {
-        std::string label =
-            i < view.labels.size() ? view.labels[i] : "";
-        std::string esc;
-        esc.reserve(label.size());
-        for (char c : label) {
-            if (c == '"' || c == '\\')
-                esc.push_back('\\');
-            esc.push_back(c);
-        }
+        std::string label;
+        if (i < view.labels.size())
+            sim::json::appendEscaped(label, view.labels[i]);
         fprintf(out, "{\"label\": \"%s\",\n\"aggregate\":\n",
-                esc.c_str());
+                label.c_str());
         writeAggregateJson(view.entries[i], out);
         fprintf(out, "}%s\n",
                 i + 1 < view.entries.size() ? "," : "");
@@ -356,43 +302,22 @@ renderView(const SweepView &view, FILE *out)
     }
 }
 
-std::optional<SweepView>
-readSweepJson(const std::string &text)
+SweepView
+readViewJson(const std::string &text)
 {
-    if (text.find("\"fleet_sweep\"") == std::string::npos)
-        return std::nullopt;
+    const sim::json::Value doc = sim::json::parse(text);
     SweepView v;
-    size_t pos = 0;
-    while (true) {
-        const size_t lab = valueOf(text, "label", pos);
-        if (lab == std::string::npos || text[lab] != '"')
-            break;
-        std::string label;
-        size_t p = lab + 1;
-        while (p < text.size() && text[p] != '"') {
-            if (text[p] == '\\' && p + 1 < text.size())
-                ++p;
-            label.push_back(text[p]);
-            ++p;
+    if (doc.find("fleet_aggregate")) {
+        v.entries.push_back(aggregateOf(doc));
+    } else if (doc.find("fleet_sweep")) {
+        for (const sim::json::Value &entry : doc.at("entries").items) {
+            v.labels.push_back(entry.string("label"));
+            v.entries.push_back(aggregateOf(entry.at("aggregate")));
         }
-        // The entry's aggregate spans up to the next label (or the
-        // end of the buffer) — hand that slice to the aggregate
-        // reader, which sniffs its own marker.
-        const size_t next = text.find("\"label\"", p);
-        const std::string slice = text.substr(
-            p, next == std::string::npos ? std::string::npos
-                                         : next - p);
-        std::optional<AggregateView> agg = readAggregateJson(slice);
-        if (!agg)
-            break;
-        v.labels.push_back(std::move(label));
-        v.entries.push_back(std::move(*agg));
-        if (next == std::string::npos)
-            break;
-        pos = next;
+    } else {
+        throw std::invalid_argument(
+            "neither a fleet aggregate nor a sweep document");
     }
-    if (v.entries.empty())
-        return std::nullopt;
     return v;
 }
 

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,14 +168,6 @@ struct AggregateView
 void writeAggregateJson(const AggregateView &view, FILE *out);
 
 /**
- * Read an aggregate JSON document produced by writeAggregateJson.
- * @return nullopt when the buffer is not an aggregate document
- *         (e.g. the per-host replay JSONL).
- */
-std::optional<AggregateView>
-readAggregateJson(const std::string &text);
-
-/**
  * A sweep document: one labeled aggregate per config, in sweep
  * order. Labels are the controller spec lines the configs ran.
  */
@@ -202,11 +193,11 @@ void writeViewJson(const SweepView &view, FILE *out);
 void renderView(const SweepView &view, FILE *out);
 
 /**
- * Read a sweep JSON document produced by writeSweepJson.
- * @return nullopt when the buffer is not a sweep document (callers
- *         sniff this before trying readAggregateJson).
+ * Read what writeViewJson writes: a sweep, or an aggregate as one
+ * unlabeled entry. @throws std::invalid_argument when @p text does
+ * not parse (sim/json.hh), is neither kind, or lacks a field.
  */
-std::optional<SweepView> readSweepJson(const std::string &text);
+SweepView readViewJson(const std::string &text);
 
 } // namespace iocost::fleet
 

@@ -2,11 +2,11 @@
  * @file
  * Numbers, durations and sizes as every text grammar spells them.
  *
- * The fault plan, the fleet and host scenarios, the what-if query
- * JSON and the CLI flags all read values through these four parsers.
- * Each throws std::invalid_argument with a bare reason (e.g.
- * `unknown time unit "x"`); callers prefix the token, key or flag
- * they were reading.
+ * The fault plan, the fleet and host scenarios, the CLI flags and
+ * every JSON document (through sim/json.hh, which keeps each number's
+ * text for them) read values through these four parsers. Each throws
+ * std::invalid_argument with a bare reason (e.g. `unknown time unit
+ * "x"`); callers prefix the token, key or flag they were reading.
  */
 
 #ifndef IOCOST_SIM_PARSE_HH

@@ -1,42 +1,8 @@
 #include "stat/telemetry.hh"
 
-#include <cstring>
+#include "sim/json.hh"
 
 namespace iocost::stat {
-
-namespace {
-
-/** Minimal JSON string escaping (sources/keys are identifiers). */
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-} // namespace
 
 std::string
 toJsonlFields(const Record &record)
@@ -48,7 +14,7 @@ toJsonlFields(const Record &record)
                   static_cast<long long>(record.time));
     out += buf;
     out += "\"src\":\"";
-    appendEscaped(out, record.source);
+    sim::json::appendEscaped(out, record.source);
     out += "\",";
     const long long cg =
         record.cgroup == kNoCgroup
@@ -57,7 +23,7 @@ toJsonlFields(const Record &record)
     std::snprintf(buf, sizeof(buf), "\"cg\":%lld,", cg);
     out += buf;
     out += "\"key\":\"";
-    appendEscaped(out, record.key);
+    sim::json::appendEscaped(out, record.key);
     out += "\",";
     std::snprintf(buf, sizeof(buf), "\"val\":%.10g", record.value);
     out += buf;

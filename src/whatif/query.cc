@@ -1,12 +1,12 @@
 #include "whatif/query.hh"
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
+#include <set>
 #include <stdexcept>
 
 #include "sim/fault.hh"
+#include "sim/json.hh"
 #include "sim/parse.hh"
 
 namespace iocost::whatif {
@@ -19,159 +19,43 @@ bad(const std::string &what)
     throw std::invalid_argument("whatif query: " + what);
 }
 
-/**
- * Minimal parser for the flat query documents: one object, string
- * keys, string/number values. Anything nested, boolean, or null is
- * rejected — the grammar is deliberately small enough to sniff.
- */
-class FlatJson
-{
-  public:
-    explicit FlatJson(const std::string &text) : text_(text)
-    {
-        parse();
-    }
-
-    const std::map<std::string, std::string> &values() const
-    {
-        return values_;
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            bad("unexpected end of document");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            bad(std::string("expected '") + c + "' at offset " +
-                std::to_string(pos_));
-        ++pos_;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    bad("truncated escape");
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  default:
-                    bad(std::string("unsupported escape \\") + e);
-                }
-            } else {
-                out += c;
-            }
-        }
-        if (pos_ >= text_.size())
-            bad("unterminated string");
-        ++pos_; // closing quote
-        return out;
-    }
-
-    std::string
-    parseNumber()
-    {
-        const size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(
-                    static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            bad("expected a value at offset " +
-                std::to_string(start));
-        return text_.substr(start, pos_ - start);
-    }
-
-    void
-    parse()
-    {
-        expect('{');
-        if (peek() == '}') {
-            ++pos_;
-        } else {
-            for (;;) {
-                const std::string key = parseString();
-                expect(':');
-                std::string value;
-                if (peek() == '"')
-                    value = parseString();
-                else
-                    value = parseNumber();
-                if (!values_.emplace(key, value).second)
-                    bad("duplicate key \"" + key + "\"");
-                const char c = peek();
-                ++pos_;
-                if (c == '}')
-                    break;
-                if (c != ',')
-                    bad("expected ',' or '}' at offset " +
-                        std::to_string(pos_ - 1));
-            }
-        }
-        skipWs();
-        if (pos_ != text_.size())
-            bad("trailing characters after the document");
-    }
-
-    const std::string &text_;
-    std::map<std::string, std::string> values_;
-    size_t pos_ = 0;
-};
-
 } // namespace
 
 Query
 Query::parse(const std::string &jsonLine)
 {
-    const FlatJson doc(jsonLine);
-    const auto &v = doc.values();
-
+    sim::json::Value doc;
+    try {
+        doc = sim::json::parse(jsonLine);
+    } catch (const std::invalid_argument &err) {
+        bad(err.what());
+    }
+    // The documents are flat: every value is read as text by the
+    // grammar of its key, whether written as a number or a string.
+    std::set<std::string> known;
+    auto find = [&](const char *key) -> const std::string * {
+        const sim::json::Value *v = doc.find(key);
+        if (!v)
+            return nullptr;
+        if (v->kind != sim::json::Value::Kind::String &&
+            v->kind != sim::json::Value::Kind::Number)
+            bad(std::string("key \"") + key +
+                "\": expected a string or a number");
+        known.insert(key);
+        return &v->text;
+    };
     auto get = [&](const char *key) -> const std::string & {
-        auto it = v.find(key);
-        if (it == v.end())
-            bad(std::string("missing key \"") + key + "\"");
-        return it->second;
+        if (const std::string *text = find(key))
+            return *text;
+        bad(std::string("missing key \"") + key + "\"");
     };
 
     Query q;
     const std::string &kind = get("q");
-    std::map<std::string, std::string> known;
-    known["q"] = kind;
     if (kind == "weight") {
         q.kind = Kind::Weight;
         q.cg = get("cg");
-        known["cg"] = q.cg;
         const std::string &value = get("value");
-        known["value"] = value;
         uint64_t w = 0;
         try {
             w = sim::parseCount(value);
@@ -184,11 +68,9 @@ Query::parse(const std::string &jsonLine)
     } else if (kind == "device") {
         q.kind = Kind::Device;
         q.profile = get("profile");
-        known["profile"] = q.profile;
     } else if (kind == "fault") {
         q.kind = Kind::Fault;
         q.fault = get("spec");
-        known["spec"] = q.fault;
         // Validate here so a malformed spec fails before it is
         // queued: it must parse and must carry actual windows
         // (retry-policy keys belong in the scenario's fault plan —
@@ -207,15 +89,14 @@ Query::parse(const std::string &jsonLine)
             "\" (weight, device, fault)");
     }
 
-    if (auto it = v.find("from"); it != v.end()) {
+    if (const std::string *from = find("from")) {
         try {
-            q.from = sim::parseTime(it->second);
+            q.from = sim::parseTime(*from);
         } catch (const std::invalid_argument &err) {
             bad(std::string("from: ") + err.what());
         }
-        known["from"] = it->second;
     }
-    for (const auto &[key, value] : v) {
+    for (const std::string &key : doc.keys) {
         if (!known.count(key))
             bad("unknown key \"" + key + "\"");
     }

@@ -3,7 +3,9 @@
  * What-if query: one hypothetical change applied at a branch point.
  *
  * Queries arrive as flat one-line JSON objects (iocost_whatif
- * stdin, iocost_sim --whatif):
+ * stdin, iocost_sim --whatif) read by sim/json.hh. Each value is a
+ * string or a number whose text goes to the sim/parse.hh grammar of
+ * its key, so "value":300 and "value":"300" are the same weight:
  *
  *   {"q":"weight","cg":"web","value":300,"from":"1s"}
  *       re-weight the named workload cgroup from sim time `from`
@@ -58,7 +60,8 @@ struct Query
      * (the documents are flat); the fault spec is validated against
      * the FaultPlan grammar here, so a malformed query never
      * reaches a worker.
-     * @throws std::invalid_argument with a one-line reason.
+     * @throws std::invalid_argument with a one-line reason (the
+     *         byte offset, for a line that is not JSON).
      */
     static Query parse(const std::string &jsonLine);
 

@@ -7,6 +7,7 @@
 
 #include "host/device_factory.hh"
 #include "sim/fault.hh"
+#include "sim/json.hh"
 
 namespace iocost::whatif {
 
@@ -18,17 +19,14 @@ bad(const std::string &what)
     throw std::invalid_argument("whatif: " + what);
 }
 
-std::string
-escapeJson(const std::string &s)
+/** Append @p open, then @p value as an escaped and closed JSON
+ *  string; unlike a fixed format buffer, no length cuts it short. */
+void
+appendString(std::string &out, const char *open, const std::string &value)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
+    out += open;
+    sim::json::appendEscaped(out, value);
+    out += '"';
 }
 
 void
@@ -44,13 +42,13 @@ appendRunStats(std::string &out, const RunStats &rs)
     out += "\"jobs\":[";
     for (size_t i = 0; i < rs.jobs.size(); ++i) {
         const JobStats &j = rs.jobs[i];
+        appendString(out, i ? ",{\"name\":\"" : "{\"name\":\"", j.name);
         std::snprintf(
             buf, sizeof buf,
-            "%s{\"name\":\"%s\",\"ios\":%" PRIu64
-            ",\"bytes\":%" PRIu64 ",\"p50_ns\":%" PRId64
-            ",\"p99_ns\":%" PRId64 ",\"errors\":%" PRIu64 "}",
-            i ? "," : "", escapeJson(j.name).c_str(), j.ios,
-            j.bytes, j.p50Ns, j.p99Ns, j.errors);
+            ",\"ios\":%" PRIu64 ",\"bytes\":%" PRIu64
+            ",\"p50_ns\":%" PRId64 ",\"p99_ns\":%" PRId64
+            ",\"errors\":%" PRIu64 "}",
+            j.ios, j.bytes, j.p50Ns, j.p99Ns, j.errors);
         out += buf;
     }
     out += "]}";
@@ -73,12 +71,12 @@ appendDelta(std::string &out, const RunStats &base,
     for (size_t i = 0; i < n; ++i) {
         const JobStats &a = base.jobs[i];
         const JobStats &b = branch.jobs[i];
+        appendString(out, i ? ",{\"name\":\"" : "{\"name\":\"", a.name);
         std::snprintf(
             buf, sizeof buf,
-            "%s{\"name\":\"%s\",\"ios\":%" PRId64
-            ",\"bytes\":%" PRId64 ",\"p50_ns\":%" PRId64
-            ",\"p99_ns\":%" PRId64 ",\"errors\":%" PRId64 "}",
-            i ? "," : "", escapeJson(a.name).c_str(),
+            ",\"ios\":%" PRId64 ",\"bytes\":%" PRId64
+            ",\"p50_ns\":%" PRId64 ",\"p99_ns\":%" PRId64
+            ",\"errors\":%" PRId64 "}",
             static_cast<int64_t>(b.ios) -
                 static_cast<int64_t>(a.ios),
             static_cast<int64_t>(b.bytes) -
@@ -102,7 +100,7 @@ diffJson(const host::ScenarioSpec &sc, const Query &q,
     std::snprintf(buf, sizeof buf,
                   ",\"scenario\":\"%016" PRIx64 "\"", sc.hash());
     out += buf;
-    out += ",\"query\":\"" + escapeJson(q.canonical()) + "\"";
+    appendString(out, ",\"query\":\"", q.canonical());
     std::snprintf(buf, sizeof buf, ",\"from_ns\":%lld",
                   static_cast<long long>(q.from));
     out += buf;
@@ -121,8 +119,9 @@ errorJson(const std::string &what, const Query *q)
 {
     std::string out = "{\"type\":\"whatif_error\"";
     if (q)
-        out += ",\"query\":\"" + escapeJson(q->canonical()) + "\"";
-    return out + ",\"error\":\"" + escapeJson(what) + "\"}";
+        appendString(out, ",\"query\":\"", q->canonical());
+    appendString(out, ",\"error\":\"", what);
+    return out + '}';
 }
 
 Replica::Replica(const host::ScenarioSpec &sc, BuildOnly)

@@ -241,29 +241,30 @@ TEST(FleetShards, AggregateJsonRoundTrips)
     const std::string text(buf, len);
     std::free(buf);
 
-    const auto back = readAggregateJson(text);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->hosts, view.hosts);
-    EXPECT_EQ(back->days, view.days);
-    EXPECT_EQ(back->hostDays, view.hostDays);
-    ASSERT_EQ(back->perDay.size(), view.perDay.size());
+    const SweepView read = readViewJson(text);
+    EXPECT_TRUE(read.labels.empty());
+    ASSERT_EQ(read.entries.size(), 1u);
+    const AggregateView &back = read.entries[0];
+    EXPECT_EQ(back.hosts, view.hosts);
+    EXPECT_EQ(back.days, view.days);
+    EXPECT_EQ(back.hostDays, view.hostDays);
+    ASSERT_EQ(back.perDay.size(), view.perDay.size());
     for (size_t i = 0; i < view.perDay.size(); ++i) {
-        EXPECT_EQ(back->perDay[i].fetchFailures,
+        EXPECT_EQ(back.perDay[i].fetchFailures,
                   view.perDay[i].fetchFailures);
-        EXPECT_NEAR(back->perDay[i].fractionOnIoCost,
+        EXPECT_NEAR(back.perDay[i].fractionOnIoCost,
                     view.perDay[i].fractionOnIoCost, 1e-9);
     }
     for (unsigned c = 0; c < 2; ++c) {
-        EXPECT_EQ(back->ctl[c].fetchCount, view.ctl[c].fetchCount);
-        EXPECT_NEAR(back->ctl[c].fetchP99Ms,
+        EXPECT_EQ(back.ctl[c].fetchCount, view.ctl[c].fetchCount);
+        EXPECT_NEAR(back.ctl[c].fetchP99Ms,
                     view.ctl[c].fetchP99Ms, 1e-6);
     }
 
-    // The per-host replay JSONL is NOT an aggregate document.
-    EXPECT_FALSE(
-        readAggregateJson(
-            "{\"day\":0,\"host\":1,\"t\":5,\"src\":\"x\"}\n")
-            .has_value());
+    // A line of the per-host replay JSONL is NOT a fleet document.
+    EXPECT_THROW(
+        readViewJson("{\"day\":0,\"host\":1,\"t\":5,\"src\":\"x\"}\n"),
+        std::invalid_argument);
 }
 
 } // namespace

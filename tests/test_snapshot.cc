@@ -17,6 +17,7 @@
 #include "host/device_factory.hh"
 #include "host/host.hh"
 #include "host/scenario.hh"
+#include "sim/json.hh"
 #include "sim/rng.hh"
 #include "whatif/query.hh"
 #include "whatif/service.hh"
@@ -283,6 +284,32 @@ TEST(WhatifService, ErrorDocsEscapeMessages)
     EXPECT_EQ(whatif::errorJson("e", &q),
               "{\"type\":\"whatif_error\",\"query\":\"" + q.canonical() +
                   "\",\"error\":\"e\"}");
+}
+
+/** Result documents stay JSON whatever bytes a message, a query or
+ *  a job name holds: control characters are escaped, and a long
+ *  name is not cut short by a fixed-size format buffer. */
+TEST(WhatifService, DocsParseWithControlCharacters)
+{
+    const std::string odd = "we\tb\n\x01\x1f\"\\";
+    const whatif::Query q = whatif::Query::parse(
+        "{\"q\":\"weight\",\"cg\":\"we\\tb\",\"value\":3}");
+    const sim::json::Value err =
+        sim::json::parse(whatif::errorJson("no cgroup " + odd, &q));
+    EXPECT_EQ(err.string("query"), q.canonical());
+    EXPECT_EQ(err.string("error"), "no cgroup " + odd);
+
+    whatif::RunStats rs;
+    rs.jobs = {{odd, 10, 4096, 100, 200, 0},
+               {std::string(300, 'j'), 1, 2, 3, 4, 5}};
+    const sim::json::Value diff =
+        sim::json::parse(whatif::diffJson(smallScenario(), q, rs, rs));
+    for (const char *part : {"baseline", "delta"}) {
+        const auto &jobs = diff.at(part).at("jobs").items;
+        ASSERT_EQ(jobs.size(), 2u);
+        EXPECT_EQ(jobs[0].string("name"), odd);
+        EXPECT_EQ(jobs[1].string("name"), rs.jobs[1].name);
+    }
 }
 
 /** Scenario identity: canonicalization is stable and the hash

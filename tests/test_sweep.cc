@@ -515,22 +515,23 @@ TEST(FleetSweep, SweepJsonRoundTrip)
     std::string text(buf, len);
     std::free(buf);
 
-    const auto parsed = fleet::readSweepJson(text);
-    ASSERT_TRUE(parsed.has_value());
-    ASSERT_EQ(parsed->labels.size(), 2u);
-    ASSERT_EQ(parsed->entries.size(), 2u);
-    EXPECT_EQ(parsed->labels[0], "iolatency");
-    EXPECT_EQ(parsed->labels[1], "iocost min=25");
+    const fleet::SweepView parsed = fleet::readViewJson(text);
+    ASSERT_EQ(parsed.labels.size(), 2u);
+    ASSERT_EQ(parsed.entries.size(), 2u);
+    EXPECT_EQ(parsed.labels[0], "iolatency");
+    EXPECT_EQ(parsed.labels[1], "iocost min=25");
     for (size_t c = 0; c < 2; ++c) {
-        EXPECT_EQ(parsed->entries[c].hosts, view.entries[c].hosts);
-        EXPECT_EQ(parsed->entries[c].hostDays,
+        EXPECT_EQ(parsed.entries[c].hosts, view.entries[c].hosts);
+        EXPECT_EQ(parsed.entries[c].hostDays,
                   view.entries[c].hostDays);
-        EXPECT_EQ(parsed->entries[c].perDay.size(),
+        EXPECT_EQ(parsed.entries[c].perDay.size(),
                   view.entries[c].perDay.size());
     }
 
-    // A plain aggregate document is not a sweep document.
-    EXPECT_FALSE(fleet::readSweepJson(aggBytes(aggs[0])));
+    // A plain aggregate document reads as one unlabeled entry.
+    const fleet::SweepView single = fleet::readViewJson(aggBytes(aggs[0]));
+    EXPECT_TRUE(single.labels.empty());
+    EXPECT_EQ(single.entries.size(), 1u);
 }
 
 // ------------------------------------------------------------------

@@ -20,6 +20,7 @@
  * the working directory (ctest runs this from the repository root,
  * against the committed benchmark documents).
  *
+ * A document that sim/json.hh cannot parse fails the gate (exit 2).
  * Arrays flatten to index paths (`fleet_doc.scales.0.hosts`). A
  * constraint whose path exists but holds JSON null is SKIPped with
  * a note — null means "not measured on this machine" (e.g.
@@ -40,191 +41,41 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/json.hh"
+#include "sim/parse.hh"
+
 namespace {
 
-/**
- * Flatten the benchmark document into dotted-path -> value. A
- * deliberately small recursive-descent parser for the subset
- * perf_kernel emits: objects, string keys, numbers, true/false,
- * null (skipped). Anything else is a parse error — the gate must
- * not silently pass on a malformed document.
- */
-class FlatJson
+using iocost::sim::json::Value;
+
+/** Flatten @p v under @p path: true/false read 1/0, strings are
+ *  labels and not gated, and a null is recorded so the gate can
+ *  SKIP (not FAIL) constraints on its path. */
+void
+flatten(const Value &v, const std::string &path,
+        std::map<std::string, double> &vals,
+        std::set<std::string> &nulls)
 {
-  public:
-    bool
-    parse(const std::string &text)
-    {
-        text_ = text.c_str();
-        pos_ = 0;
-        end_ = text.size();
-        skipWs();
-        return object("") && (skipWs(), pos_ == end_);
+    if (v.kind == Value::Kind::Number)
+        vals[path] = iocost::sim::parseNumber(v.text);
+    else if (v.kind == Value::Kind::Bool)
+        vals[path] = v.text == "true" ? 1.0 : 0.0;
+    else if (v.kind == Value::Kind::Null)
+        nulls.insert(path);
+    for (size_t i = 0; i < v.items.size(); ++i) {
+        const std::string name = v.kind == Value::Kind::Object
+                                     ? v.keys[i]
+                                     : std::to_string(i);
+        flatten(v.items[i], path.empty() ? name : path + "." + name,
+                vals, nulls);
     }
-
-    const std::map<std::string, double> &values() const
-    {
-        return values_;
-    }
-
-    /** Paths present in the document but holding JSON null. */
-    const std::set<std::string> &nulls() const { return nulls_; }
-
-  private:
-    bool
-    object(const std::string &prefix)
-    {
-        if (!consume('{'))
-            return false;
-        skipWs();
-        if (consume('}'))
-            return true;
-        for (;;) {
-            skipWs();
-            std::string key;
-            if (!string(key))
-                return false;
-            skipWs();
-            if (!consume(':'))
-                return false;
-            skipWs();
-            const std::string path =
-                prefix.empty() ? key : prefix + "." + key;
-            if (!value(path))
-                return false;
-            skipWs();
-            if (consume(','))
-                continue;
-            return consume('}');
-        }
-    }
-
-    bool
-    array(const std::string &prefix)
-    {
-        if (!consume('['))
-            return false;
-        skipWs();
-        if (consume(']'))
-            return true;
-        size_t idx = 0;
-        for (;;) {
-            skipWs();
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), "%zu", idx++);
-            if (!value(prefix + "." + buf))
-                return false;
-            skipWs();
-            if (consume(','))
-                continue;
-            return consume(']');
-        }
-    }
-
-    bool
-    value(const std::string &path)
-    {
-        if (peek() == '{')
-            return object(path);
-        if (peek() == '[')
-            return array(path);
-        if (peek() == '"') {
-            std::string ignored;
-            return string(ignored); // labels are not gated
-        }
-        if (literal("true")) {
-            values_[path] = 1.0;
-            return true;
-        }
-        if (literal("false")) {
-            values_[path] = 0.0;
-            return true;
-        }
-        if (literal("null")) {
-            // "Not measured on this machine" — recorded so the
-            // gate can SKIP (not FAIL) constraints on this path.
-            nulls_.insert(path);
-            return true;
-        }
-        char *after = nullptr;
-        const double v = std::strtod(text_ + pos_, &after);
-        if (after == text_ + pos_)
-            return false;
-        pos_ = static_cast<size_t>(after - text_);
-        values_[path] = v;
-        return true;
-    }
-
-    bool
-    string(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < end_ && text_[pos_] != '"')
-            out.push_back(text_[pos_++]);
-        return consume('"');
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const size_t n = std::strlen(word);
-        if (pos_ + n <= end_ &&
-            std::memcmp(text_ + pos_, word, n) == 0) {
-            pos_ += n;
-            return true;
-        }
-        return false;
-    }
-
-    char peek() const { return pos_ < end_ ? text_[pos_] : '\0'; }
-
-    bool
-    consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < end_ &&
-               std::isspace(static_cast<unsigned char>(
-                   text_[pos_])))
-            ++pos_;
-    }
-
-    const char *text_ = nullptr;
-    size_t pos_ = 0;
-    size_t end_ = 0;
-    std::map<std::string, double> values_;
-    std::set<std::string> nulls_;
-};
-
-std::string
-readFile(const std::string &path)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return "";
-    std::string out;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
 }
 
 struct Constraint
@@ -340,33 +191,25 @@ main(int argc, char **argv)
     std::set<std::string> nulls;
     std::string bench_desc;
     for (const auto &[prefix, path] : bench_args) {
-        const std::string text = readFile(path);
-        if (text.empty()) {
-            std::fprintf(stderr, "bench_check: cannot read %s\n",
-                         path.c_str());
+        try {
+            flatten(iocost::sim::json::parse(
+                        iocost::sim::specArgument("@" + path)),
+                    prefix, vals, nulls);
+        } catch (const std::invalid_argument &err) {
+            std::fprintf(stderr, "bench_check: %s: %s\n",
+                         path.c_str(), err.what());
             return 2;
         }
-        FlatJson doc;
-        if (!doc.parse(text)) {
-            std::fprintf(stderr,
-                         "bench_check: %s is not parseable\n",
-                         path.c_str());
-            return 2;
-        }
-        const std::string dot = prefix.empty() ? "" : prefix + ".";
-        for (const auto &[k, v] : doc.values())
-            vals[dot + k] = v;
-        for (const std::string &k : doc.nulls())
-            nulls.insert(dot + k);
         if (!bench_desc.empty())
             bench_desc += ",";
         bench_desc += path;
     }
 
-    const std::string thr_text = readFile(thresholds_path);
-    if (thr_text.empty()) {
-        std::fprintf(stderr, "bench_check: cannot read %s\n",
-                     thresholds_path.c_str());
+    std::string thr_text;
+    try {
+        thr_text = iocost::sim::specArgument("@" + thresholds_path);
+    } catch (const std::invalid_argument &err) {
+        std::fprintf(stderr, "bench_check: %s\n", err.what());
         return 2;
     }
     bool thr_ok = true;

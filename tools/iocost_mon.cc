@@ -51,8 +51,9 @@
  * Reader mode renders a previously written file — the
  * streaming-aggregate JSON, a multi-config sweep document
  * (iocost_sim --fleet --sweep --out), a what-if diff stream
- * (iocost_whatif output), or the per-host replay JSONL (sniffed
- * automatically; an unrecognized document type is a clean error):
+ * (iocost_whatif output), or the per-host replay JSONL (told apart
+ * automatically). A malformed or truncated file, or an unrecognized
+ * document type, is a fatal error naming the file:
  *   iocost_mon --in fleet.json|fleet.jsonl|whatif.jsonl
  *
  * Examples:
@@ -63,19 +64,20 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fleet/fleet_cli.hh"
 #include "host/scenario.hh"
 #include "host/sweep.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "stat/telemetry.hh"
@@ -386,18 +388,27 @@ runHostSweep(const host::ScenarioSpec &sc,
     return 0;
 }
 
-/** Extract the value of a top-level "type":"..." key, or "". */
-std::string
-sniffDocType(const std::string &line)
+/** Call @p fn on each non-empty line of @p text parsed as JSON; an
+ *  error, the parser's or @p fn's, names its line. */
+template <typename Fn>
+void
+forEachLine(const std::string &text, Fn fn)
 {
-    const size_t key = line.find("\"type\":\"");
-    if (key == std::string::npos)
-        return "";
-    const size_t begin = key + 8; // past "type":"
-    const size_t end = line.find('"', begin);
-    if (end == std::string::npos)
-        return "";
-    return line.substr(begin, end - begin);
+    size_t line = 0;
+    for (size_t pos = 0; pos < text.size();) {
+        const size_t eol = std::min(text.find('\n', pos), text.size());
+        const std::string_view body(text.data() + pos, eol - pos);
+        pos = eol + 1;
+        ++line;
+        if (body.empty())
+            continue;
+        try {
+            fn(sim::json::parse(body));
+        } catch (const std::invalid_argument &err) {
+            throw std::invalid_argument(
+                "line " + std::to_string(line) + ": " + err.what());
+        }
+    }
 }
 
 /**
@@ -411,78 +422,36 @@ renderWhatifStream(const std::string &text)
     uint64_t diffs = 0, errors = 0, other = 0;
     std::printf("%-52s %10s %14s %12s\n", "query", "from(ms)",
                 "delta-ios", "delta-p99(us)");
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        const std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        const std::string type = sniffDocType(line);
-        if (type == "whatif_error") {
-            ++errors;
-            continue;
-        }
-        if (type != "whatif_diff") {
-            ++other;
-            continue;
+    forEachLine(text, [&](const sim::json::Value &doc) {
+        const sim::json::Value *type = doc.find("type");
+        const std::string kind = type ? type->text : "";
+        if (kind != "whatif_diff") {
+            ++(kind == "whatif_error" ? errors : other);
+            return;
         }
         ++diffs;
-        std::string query = "?";
-        const size_t qkey = line.find("\"query\":\"");
-        if (qkey != std::string::npos) {
-            const size_t begin = qkey + 9; // past "query":"
-            const size_t end = line.find('"', begin);
-            if (end != std::string::npos)
-                query = line.substr(begin, end - begin);
-        }
-        double from_ms = 0;
-        long long from_ns = 0;
-        const size_t fkey = line.find("\"from_ns\":");
-        if (fkey != std::string::npos &&
-            std::sscanf(line.c_str() + fkey, "\"from_ns\":%lld",
-                        &from_ns) == 1)
-            from_ms = static_cast<double>(from_ns) / 1e6;
+        const std::string &query = doc.string("query");
+        const double from_ms = doc.number("from_ns") / 1e6;
         // Headline deltas: sum of per-job ios and the largest
         // per-job p99 shift from the delta block.
-        long long ios_total = 0, p99_max = 0;
-        bool have_delta = false;
-        const size_t dkey = line.find("\"delta\":");
-        if (dkey != std::string::npos) {
-            size_t jp = dkey;
-            for (;;) {
-                jp = line.find("{\"name\":", jp);
-                if (jp == std::string::npos)
-                    break;
-                long long ios = 0, p99 = 0;
-                const size_t ik = line.find("\"ios\":", jp);
-                if (ik != std::string::npos)
-                    std::sscanf(line.c_str() + ik,
-                                "\"ios\":%lld", &ios);
-                const size_t pk = line.find("\"p99_ns\":", jp);
-                if (pk != std::string::npos)
-                    std::sscanf(line.c_str() + pk,
-                                "\"p99_ns\":%lld", &p99);
-                ios_total += ios;
-                if (std::llabs(p99) > std::llabs(p99_max))
-                    p99_max = p99;
-                have_delta = true;
-                jp = line.find('}', jp);
-                if (jp == std::string::npos)
-                    break;
-            }
+        const std::vector<sim::json::Value> &jobs =
+            doc.at("delta").at("jobs").items;
+        double ios_total = 0, p99_max = 0;
+        for (const sim::json::Value &job : jobs) {
+            ios_total += job.number("ios");
+            const double p99 = job.number("p99_ns");
+            if (std::fabs(p99) > std::fabs(p99_max))
+                p99_max = p99;
         }
-        if (have_delta) {
-            std::printf("%-52s %10.0f %+14lld %+12.0f\n",
+        if (!jobs.empty()) {
+            std::printf("%-52s %10.0f %+14.0f %+12.0f\n",
                         query.c_str(), from_ms, ios_total,
-                        static_cast<double>(p99_max) / 1e3);
+                        p99_max / 1e3);
         } else {
             std::printf("%-52s %10.0f %14s %12s\n", query.c_str(),
                         from_ms, "-", "-");
         }
-    }
+    });
     std::printf("whatif stream: %llu diffs, %llu errors",
                 static_cast<unsigned long long>(diffs),
                 static_cast<unsigned long long>(errors));
@@ -495,91 +464,71 @@ renderWhatifStream(const std::string &text)
 }
 
 /**
- * --in FILE: render a previously written file. The format is
- * sniffed: streaming-aggregate JSON (the fleet engine output), a
- * sweep document, a what-if diff stream, or the per-host replay
- * JSONL. Any other typed JSON document is a clean error naming the
- * unrecognized type.
+ * Per-host replay JSONL: one record per telemetry sample, prefixed
+ * {"day":D,"host":H,...}. Summarize coverage per day.
+ */
+int
+renderReplay(const std::string &text)
+{
+    // day -> (hosts seen, records)
+    std::map<uint64_t, std::pair<std::set<uint64_t>, uint64_t>> days;
+    uint64_t total = 0;
+    forEachLine(text, [&](const sim::json::Value &doc) {
+        auto &[hosts, records] = days[doc.count("day")];
+        hosts.insert(doc.count("host"));
+        ++records;
+        ++total;
+    });
+    std::printf("fleet per-host replay: %llu records, %zu days\n",
+                static_cast<unsigned long long>(total), days.size());
+    std::printf("%5s %10s %10s\n", "day", "hosts", "records");
+    for (const auto &[day, seen] : days) {
+        std::printf("%5llu %10zu %10llu\n",
+                    static_cast<unsigned long long>(day),
+                    seen.first.size(),
+                    static_cast<unsigned long long>(seen.second));
+    }
+    return 0;
+}
+
+/**
+ * --in FILE: render a fleet aggregate or sweep document, or one of
+ * the JSONL files told apart by their first line: a what-if diff
+ * stream or the per-host replay. A malformed or truncated file, or
+ * an unknown document type, is a fatal error naming the file.
  */
 int
 runFleetIn(const std::string &in_path)
 {
     const std::string text = sim::specArgument("@" + in_path);
-
-    // Sweep documents embed per-config aggregates (each with its
-    // own marker), so sniff the sweep wrapper first.
-    if (const auto sweep = fleet::readSweepJson(text)) {
-        std::printf("fleet sweep: %zu configs\n",
-                    sweep->entries.size());
-        fleet::renderView(*sweep, stdout);
-        return 0;
-    }
-    if (const auto view = fleet::readAggregateJson(text)) {
-        fleet::renderView({{}, {*view}}, stdout);
-        return 0;
-    }
-
-    // Typed line-oriented documents: the first typed line decides.
-    {
-        size_t first_eol = text.find('\n');
-        if (first_eol == std::string::npos)
-            first_eol = text.size();
-        const std::string doc_type =
-            sniffDocType(text.substr(0, first_eol));
-        if (doc_type == "whatif_diff" || doc_type == "whatif_error")
-            return renderWhatifStream(text);
-        if (!doc_type.empty()) {
-            sim::fatal(in_path + ": unknown document type \"" +
-                       doc_type +
-                       "\" (expected a fleet aggregate, a sweep "
-                       "document, a whatif_diff stream, or "
-                       "per-host JSONL)");
+    try {
+        // A JSONL line parses alone; the first line of a fleet
+        // document does not, and leaves `first` a keyless null.
+        sim::json::Value first;
+        try {
+            first = sim::json::parse(
+                std::string_view(text).substr(0, text.find('\n')));
+        } catch (const std::invalid_argument &) {
         }
-    }
-
-    // Per-host replay JSONL: one record per telemetry sample,
-    // prefixed {"day":D,"host":H,...}. Summarize coverage per day.
-    std::map<unsigned, uint64_t> day_records;
-    std::map<unsigned, std::map<unsigned, bool>> day_hosts;
-    uint64_t total = 0, bad_lines = 0;
-    size_t pos = 0;
-    while (pos < text.size()) {
-        size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        const std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty())
-            continue;
-        unsigned day = 0, host = 0;
-        if (std::sscanf(line.c_str(), "{\"day\":%u,\"host\":%u,",
-                        &day, &host) == 2) {
-            ++day_records[day];
-            day_hosts[day][host] = true;
-            ++total;
-        } else {
-            ++bad_lines;
+        if (const sim::json::Value *type = first.find("type")) {
+            if (type->text == "whatif_diff" ||
+                type->text == "whatif_error")
+                return renderWhatifStream(text);
+            throw std::invalid_argument(
+                "unknown document type \"" + type->text +
+                "\" (expected a fleet aggregate, a sweep document, "
+                "a whatif_diff stream, or per-host JSONL)");
         }
+        if (first.find("day"))
+            return renderReplay(text);
+        const fleet::SweepView view = fleet::readViewJson(text);
+        if (!view.labels.empty())
+            std::printf("fleet sweep: %zu configs\n", view.entries.size());
+        fleet::renderView(view, stdout);
+        return 0;
+    } catch (const std::invalid_argument &err) {
+        sim::fatal(in_path + ": " + err.what());
     }
-    if (total == 0) {
-        sim::fatal(in_path +
-                   ": neither a fleet aggregate JSON nor per-host "
-                   "JSONL");
-    }
-    std::printf("fleet per-host replay: %llu records, %zu days\n",
-                static_cast<unsigned long long>(total),
-                day_records.size());
-    if (bad_lines) {
-        std::printf("  (%llu unrecognized lines skipped)\n",
-                    static_cast<unsigned long long>(bad_lines));
-    }
-    std::printf("%5s %10s %10s\n", "day", "hosts", "records");
-    for (const auto &[day, count] : day_records) {
-        std::printf("%5u %10zu %10llu\n", day,
-                    day_hosts[day].size(),
-                    static_cast<unsigned long long>(count));
-    }
-    return 0;
 }
 
 /**
