@@ -23,40 +23,45 @@ namespace iocost::blk {
 
 /** Box one bio into the snapshot image. */
 inline void
-saveBio(sim::StateWriter &w, const Bio &bio)
+stateBio(sim::StateWriter &w, const BioPtr &bio)
 {
     // cloneBio() heap-allocates (pool == nullptr), so the default
     // shared_ptr deleter is the right one and the image can be
     // destroyed from any thread.
-    w.putBox(std::shared_ptr<const Bio>(cloneBio(bio).release()));
+    w.putBox(std::shared_ptr<const Bio>(cloneBio(*bio).release()));
 }
 
 /** Clone the next boxed bio back out of the image. */
-inline BioPtr
-loadBio(sim::StateReader &r)
+inline void
+stateBio(sim::StateReader &r, BioPtr &bio)
 {
-    return cloneBio(*r.getBoxAs<Bio>());
+    bio = cloneBio(*r.getBoxAs<Bio>());
 }
 
-/** Save an ordered container of BioPtrs (deque/vector). */
+/** Save an ordered container of BioPtrs (deque, FifoRing). */
 template <typename Container>
 inline void
-saveBioSeq(sim::StateWriter &w, const Container &bios)
+stateBios(sim::StateWriter &w, const Container &bios)
 {
-    w.put(static_cast<uint64_t>(bios.size()));
-    for (const BioPtr &bio : bios)
-        saveBio(w, *bio);
+    w.value(static_cast<uint64_t>(bios.size()));
+    for (size_t i = 0; i < bios.size(); ++i)
+        stateBio(w, bios.at(i));
 }
 
-/** Restore an ordered container of BioPtrs (deque/vector). */
+/** Restore an ordered container of BioPtrs (deque, FifoRing),
+ *  destroying its current bios first. */
 template <typename Container>
 inline void
-loadBioSeq(sim::StateReader &r, Container &bios)
+stateBios(sim::StateReader &r, Container &bios)
 {
     bios.clear();
-    const auto n = r.get<uint64_t>();
-    for (uint64_t i = 0; i < n; ++i)
-        bios.push_back(loadBio(r));
+    uint64_t n = 0;
+    r.value(n);
+    for (uint64_t i = 0; i < n; ++i) {
+        BioPtr bio;
+        stateBio(r, bio);
+        bios.push_back(std::move(bio));
+    }
 }
 
 } // namespace iocost::blk

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "blk/bio_state.hh"
-
 namespace iocost::blk {
 
 BlockLayer::BlockLayer(sim::Simulator &sim, BlockDevice &device,
@@ -360,91 +358,6 @@ void
 BlockLayer::resetStats()
 {
     stats_.clear();
-}
-
-void
-BlockLayer::saveState(sim::StateWriter &w) const
-{
-    // Field-by-field: RetryPolicy pads after its unsigned, and raw
-    // padding would make the tape differ between identical states.
-    w.put(retry_.maxRetries);
-    w.put(retry_.backoffBase);
-    w.put(retry_.bioTimeout);
-    blk::saveBioSeq(w, dispatchQueue_);
-
-    w.put(static_cast<uint32_t>(stats_.size()));
-    for (const CgroupIoStats &st : stats_) {
-        w.put(st.reads);
-        w.put(st.writes);
-        w.put(st.readBytes);
-        w.put(st.writeBytes);
-        w.put(st.errors);
-        w.put(st.retries);
-        w.put(st.timeouts);
-        w.put(st.failures);
-        w.put(st.wbWrites);
-        w.put(st.wbBytes);
-        st.totalLatency.saveState(w);
-        st.deviceLatency.saveState(w);
-    }
-
-    w.put(nextBioId_);
-    w.put(submitted_);
-    w.put(completed_);
-    w.put(deviceErrors_);
-    w.put(retries_);
-    w.put(timeouts_);
-    w.put(failed_);
-    w.put(queueFullEvents_);
-    w.put(mergedBios_);
-    w.put(cpuEnabled_);
-    w.put(mergeEnabled_);
-    w.put(cpuBusyUntil_);
-
-    if (controller_)
-        controller_->saveState(w);
-}
-
-void
-BlockLayer::loadState(sim::StateReader &r)
-{
-    r.get(retry_.maxRetries);
-    r.get(retry_.backoffBase);
-    r.get(retry_.bioTimeout);
-    blk::loadBioSeq(r, dispatchQueue_);
-
-    const auto n = r.get<uint32_t>();
-    stats_.resize(n);
-    for (CgroupIoStats &st : stats_) {
-        r.get(st.reads);
-        r.get(st.writes);
-        r.get(st.readBytes);
-        r.get(st.writeBytes);
-        r.get(st.errors);
-        r.get(st.retries);
-        r.get(st.timeouts);
-        r.get(st.failures);
-        r.get(st.wbWrites);
-        r.get(st.wbBytes);
-        st.totalLatency.loadState(r);
-        st.deviceLatency.loadState(r);
-    }
-
-    r.get(nextBioId_);
-    r.get(submitted_);
-    r.get(completed_);
-    r.get(deviceErrors_);
-    r.get(retries_);
-    r.get(timeouts_);
-    r.get(failed_);
-    r.get(queueFullEvents_);
-    r.get(mergedBios_);
-    r.get(cpuEnabled_);
-    r.get(mergeEnabled_);
-    r.get(cpuBusyUntil_);
-
-    if (controller_)
-        controller_->loadState(r);
 }
 
 } // namespace iocost::blk

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "blk/bio.hh"
+#include "blk/bio_state.hh"
 #include "blk/block_device.hh"
 #include "blk/io_controller.hh"
 #include "cgroup/cgroup_tree.hh"
@@ -268,8 +269,8 @@ class BlockLayer
      * separately, matching the ownership split.
      * @{
      */
-    void saveState(sim::StateWriter &w) const;
-    void loadState(sim::StateReader &r);
+    void saveState(sim::StateWriter &w) const { walk(*this, w); }
+    void loadState(sim::StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
@@ -280,6 +281,50 @@ class BlockLayer
     void drainDispatchQueue();
     void deliverToController(BioPtr bio);
     CgroupIoStats &statsMutable(cgroup::CgroupId cg);
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        // Field-by-field: RetryPolicy pads after its unsigned, and raw
+        // padding would make the tape differ between identical states.
+        t.value(self.retry_.maxRetries);
+        t.value(self.retry_.backoffBase);
+        t.value(self.retry_.bioTimeout);
+        blk::stateBios(t, self.dispatchQueue_);
+
+        t.template size<uint32_t>(self.stats_);
+        for (auto &st : self.stats_) {
+            t.value(st.reads);
+            t.value(st.writes);
+            t.value(st.readBytes);
+            t.value(st.writeBytes);
+            t.value(st.errors);
+            t.value(st.retries);
+            t.value(st.timeouts);
+            t.value(st.failures);
+            t.value(st.wbWrites);
+            t.value(st.wbBytes);
+            t.sub(st.totalLatency);
+            t.sub(st.deviceLatency);
+        }
+
+        t.value(self.nextBioId_);
+        t.value(self.submitted_);
+        t.value(self.completed_);
+        t.value(self.deviceErrors_);
+        t.value(self.retries_);
+        t.value(self.timeouts_);
+        t.value(self.failed_);
+        t.value(self.queueFullEvents_);
+        t.value(self.mergedBios_);
+        t.value(self.cpuEnabled_);
+        t.value(self.mergeEnabled_);
+        t.value(self.cpuBusyUntil_);
+
+        if (self.controller_)
+            t.sub(*self.controller_);
+    }
 
     sim::Simulator &sim_;
     BlockDevice &device_;

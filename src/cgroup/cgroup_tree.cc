@@ -169,40 +169,4 @@ CgroupTree::isAncestor(CgroupId ancestor, CgroupId id) const
     return false;
 }
 
-void
-CgroupTree::saveState(sim::StateWriter &w) const
-{
-    w.put(generation_);
-    w.put(static_cast<uint32_t>(nodes_.size()));
-    for (const Node &n : nodes_) {
-        w.put(n.weight);
-        w.put(n.inuse);
-        w.put(n.activeSelf);
-        w.put(n.activeDescendants);
-        w.put(n.cacheGen);
-        w.put(n.cachedActive);
-        w.put(n.cachedInuse);
-    }
-}
-
-void
-CgroupTree::loadState(sim::StateReader &r)
-{
-    r.get(generation_);
-    const auto count = r.get<uint32_t>();
-    sim::panicIf(count != nodes_.size(),
-                 "CgroupTree::loadState: node count mismatch — "
-                 "snapshots restore state, they cannot add or "
-                 "remove cgroups");
-    for (Node &n : nodes_) {
-        r.get(n.weight);
-        r.get(n.inuse);
-        r.get(n.activeSelf);
-        r.get(n.activeDescendants);
-        r.get(n.cacheGen);
-        r.get(n.cachedActive);
-        r.get(n.cachedInuse);
-    }
-}
-
 } // namespace iocost::cgroup

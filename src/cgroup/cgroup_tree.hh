@@ -174,8 +174,8 @@ class CgroupTree
      * few doubles per node.
      * @{
      */
-    void saveState(sim::StateWriter &w) const;
-    void loadState(sim::StateReader &r);
+    void saveState(sim::StateWriter &w) const { walk(*this, w); }
+    void loadState(sim::StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
@@ -197,6 +197,27 @@ class CgroupTree
 
     void bump() { ++generation_; }
     void refreshCache(CgroupId id) const;
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.value(self.generation_);
+        t.template same<uint32_t>(
+            self.nodes_.size(),
+            "CgroupTree::loadState: node count mismatch — "
+            "snapshots restore state, they cannot add or "
+            "remove cgroups");
+        for (auto &n : self.nodes_) {
+            t.value(n.weight);
+            t.value(n.inuse);
+            t.value(n.activeSelf);
+            t.value(n.activeDescendants);
+            t.value(n.cacheGen);
+            t.value(n.cachedActive);
+            t.value(n.cachedInuse);
+        }
+    }
 
     std::vector<Node> nodes_;
     uint64_t generation_ = 1;

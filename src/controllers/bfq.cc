@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "blk/bio_state.hh"
-
 namespace iocost::controllers {
 
 void
@@ -181,41 +179,6 @@ Bfq::onComplete(const blk::Bio &bio,
         --injectedInFlight_;
     }
     pump();
-}
-
-void
-Bfq::saveState(sim::StateWriter &w) const
-{
-    w.put(static_cast<uint32_t>(queues_.size()));
-    for (const Queue &q : queues_) {
-        blk::saveBioSeq(w, q.bios);
-        w.put(q.vfinish);
-        w.put(q.ever);
-    }
-    w.put(inService_);
-    w.put(budgetLeft_);
-    w.put(inServiceInFlight_);
-    w.put(injectedInFlight_);
-    w.put(vtime_);
-    layer().sim().events().saveHandle(w, idleTimer_);
-}
-
-void
-Bfq::loadState(sim::StateReader &r)
-{
-    const auto n = r.get<uint32_t>();
-    queues_.resize(n);
-    for (Queue &q : queues_) {
-        blk::loadBioSeq(r, q.bios);
-        r.get(q.vfinish);
-        r.get(q.ever);
-    }
-    inService_ = r.get<cgroup::CgroupId>();
-    r.get(budgetLeft_);
-    r.get(inServiceInFlight_);
-    r.get(injectedInFlight_);
-    r.get(vtime_);
-    idleTimer_ = layer().sim().events().loadHandle(r);
 }
 
 } // namespace iocost::controllers

@@ -21,6 +21,7 @@
 #include <deque>
 #include <vector>
 
+#include "blk/bio_state.hh"
 #include "blk/block_layer.hh"
 #include "blk/io_controller.hh"
 #include "sim/simulator.hh"
@@ -79,8 +80,8 @@ class Bfq : public blk::IoController
     /** Currently in-service cgroup, or kNone. */
     cgroup::CgroupId inService() const { return inService_; }
 
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
     struct Queue
@@ -97,6 +98,24 @@ class Bfq : public blk::IoController
     void expire();
     void pump();
     void inject();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.template size<uint32_t>(self.queues_);
+        for (auto &q : self.queues_) {
+            blk::stateBios(t, q.bios);
+            t.value(q.vfinish);
+            t.value(q.ever);
+        }
+        t.value(self.inService_);
+        t.value(self.budgetLeft_);
+        t.value(self.inServiceInFlight_);
+        t.value(self.injectedInFlight_);
+        t.value(self.vtime_);
+        self.layer().sim().events().handle(t, self.idleTimer_);
+    }
 
     BfqConfig cfg_;
     std::deque<Queue> queues_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "blk/bio_state.hh"
-
 namespace iocost::controllers {
 
 void
@@ -116,37 +114,6 @@ BlkThrottle::kick(cgroup::CgroupId cg)
             });
             break;
         }
-    }
-}
-
-void
-BlkThrottle::saveState(sim::StateWriter &w) const
-{
-    w.put(static_cast<uint32_t>(states_.size()));
-    for (const State &st : states_) {
-        w.put(st.limits);
-        w.put(st.nextRead);
-        w.put(st.nextWrite);
-        w.put(st.nextReadBytes);
-        w.put(st.nextWriteBytes);
-        blk::saveBioSeq(w, st.waiting);
-        layer().sim().events().saveHandle(w, st.kick);
-    }
-}
-
-void
-BlkThrottle::loadState(sim::StateReader &r)
-{
-    const auto n = r.get<uint32_t>();
-    states_.resize(n);
-    for (State &st : states_) {
-        r.get(st.limits);
-        r.get(st.nextRead);
-        r.get(st.nextWrite);
-        r.get(st.nextReadBytes);
-        r.get(st.nextWriteBytes);
-        blk::loadBioSeq(r, st.waiting);
-        st.kick = layer().sim().events().loadHandle(r);
     }
 }
 

@@ -17,6 +17,7 @@
 #include <deque>
 #include <vector>
 
+#include "blk/bio_state.hh"
 #include "blk/block_layer.hh"
 #include "blk/io_controller.hh"
 #include "sim/simulator.hh"
@@ -73,8 +74,8 @@ class BlkThrottle : public blk::IoController
 
     void onSubmit(blk::BioPtr bio) override;
 
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
     struct State
@@ -99,6 +100,22 @@ class BlkThrottle : public blk::IoController
     sim::Time admissionTime(State &st, const blk::Bio &bio) const;
     void charge(State &st, const blk::Bio &bio);
     void kick(cgroup::CgroupId cg);
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.template size<uint32_t>(self.states_);
+        for (auto &st : self.states_) {
+            t.value(st.limits);
+            t.value(st.nextRead);
+            t.value(st.nextWrite);
+            t.value(st.nextReadBytes);
+            t.value(st.nextWriteBytes);
+            blk::stateBios(t, st.waiting);
+            self.layer().sim().events().handle(t, st.kick);
+        }
+    }
 
     BlkThrottleConfig cfg_;
     std::deque<State> states_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "blk/bio_state.hh"
-
 namespace iocost::controllers {
 
 void
@@ -141,41 +139,6 @@ IoLatency::evaluate()
         }
         st.windowLat.reset(now);
         pump(cg);
-    }
-}
-
-void
-IoLatency::saveState(sim::StateWriter &w) const
-{
-    w.put(static_cast<uint32_t>(states_.size()));
-    for (const State &st : states_) {
-        w.put(st.target);
-        w.put(st.depth);
-        w.put(st.inFlight);
-        st.windowLat.saveState(w);
-        blk::saveBioSeq(w, st.waiting);
-    }
-    w.put(timer_.has_value());
-    if (timer_)
-        timer_->saveState(w);
-}
-
-void
-IoLatency::loadState(sim::StateReader &r)
-{
-    const auto n = r.get<uint32_t>();
-    states_.resize(n);
-    for (State &st : states_) {
-        r.get(st.target);
-        r.get(st.depth);
-        r.get(st.inFlight);
-        st.windowLat.loadState(r);
-        blk::loadBioSeq(r, st.waiting);
-    }
-    if (r.get<bool>()) {
-        sim::panicIf(!timer_.has_value(),
-                     "IoLatency::loadState: timer mismatch");
-        timer_->loadState(r);
     }
 }
 

@@ -19,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "blk/bio_state.hh"
 #include "blk/block_layer.hh"
 #include "blk/io_controller.hh"
 #include "sim/simulator.hh"
@@ -85,8 +86,8 @@ class IoLatency : public blk::IoController
     /** Current depth limit of @p cg (for tests). */
     unsigned depthLimit(cgroup::CgroupId cg);
 
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
     struct State
@@ -101,6 +102,21 @@ class IoLatency : public blk::IoController
     State &state(cgroup::CgroupId cg);
     void pump(cgroup::CgroupId cg);
     void evaluate();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.template size<uint32_t>(self.states_);
+        for (auto &st : self.states_) {
+            t.value(st.target);
+            t.value(st.depth);
+            t.value(st.inFlight);
+            t.sub(st.windowLat);
+            blk::stateBios(t, st.waiting);
+        }
+        t.optional(self.timer_, "IoLatency::loadState: timer mismatch");
+    }
 
     IoLatencyConfig cfg_;
     std::deque<State> states_;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "blk/bio_state.hh"
-#include "sim/logging.hh"
-
 namespace iocost::controllers {
 
 void
@@ -88,34 +85,6 @@ Kyber::adjust()
     windowReadLat_.reset(now);
     windowWriteLat_.reset(now);
     pump();
-}
-
-void
-Kyber::saveState(sim::StateWriter &w) const
-{
-    w.put(writeDepth_);
-    w.put(writeInFlight_);
-    blk::saveBioSeq(w, writes_);
-    windowReadLat_.saveState(w);
-    windowWriteLat_.saveState(w);
-    w.put(timer_.has_value());
-    if (timer_)
-        timer_->saveState(w);
-}
-
-void
-Kyber::loadState(sim::StateReader &r)
-{
-    r.get(writeDepth_);
-    r.get(writeInFlight_);
-    blk::loadBioSeq(r, writes_);
-    windowReadLat_.loadState(r);
-    windowWriteLat_.loadState(r);
-    if (r.get<bool>()) {
-        sim::panicIf(!timer_.has_value(),
-                     "Kyber::loadState: timer mismatch");
-        timer_->loadState(r);
-    }
 }
 
 } // namespace iocost::controllers

@@ -16,6 +16,7 @@
 #include <deque>
 #include <optional>
 
+#include "blk/bio_state.hh"
 #include "blk/block_layer.hh"
 #include "blk/io_controller.hh"
 #include "sim/simulator.hh"
@@ -69,12 +70,24 @@ class Kyber : public blk::IoController
     /** Current adaptive write depth (for tests). */
     unsigned writeDepth() const { return writeDepth_; }
 
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
     void pump();
     void adjust();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.value(self.writeDepth_);
+        t.value(self.writeInFlight_);
+        blk::stateBios(t, self.writes_);
+        t.sub(self.windowReadLat_);
+        t.sub(self.windowWriteLat_);
+        t.optional(self.timer_, "Kyber::loadState: timer mismatch");
+    }
 
     KyberConfig cfg_;
     unsigned writeDepth_;

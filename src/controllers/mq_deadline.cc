@@ -1,7 +1,5 @@
 #include "controllers/mq_deadline.hh"
 
-#include "blk/bio_state.hh"
-
 namespace iocost::controllers {
 
 bool
@@ -84,24 +82,6 @@ MqDeadline::pump()
         queue.pop_front();
         layer().dispatch(std::move(bio));
     }
-}
-
-void
-MqDeadline::saveState(sim::StateWriter &w) const
-{
-    blk::saveBioSeq(w, reads_);
-    blk::saveBioSeq(w, writes_);
-    w.put(batchCount_);
-    w.put(batchDir_);
-}
-
-void
-MqDeadline::loadState(sim::StateReader &r)
-{
-    blk::loadBioSeq(r, reads_);
-    blk::loadBioSeq(r, writes_);
-    r.get(batchCount_);
-    r.get(batchDir_);
 }
 
 } // namespace iocost::controllers

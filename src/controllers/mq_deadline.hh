@@ -14,6 +14,7 @@
 
 #include <deque>
 
+#include "blk/bio_state.hh"
 #include "blk/block_layer.hh"
 #include "blk/io_controller.hh"
 #include "sim/simulator.hh"
@@ -60,12 +61,22 @@ class MqDeadline : public blk::IoController
     void onComplete(const blk::Bio &bio,
                     const blk::CompletionInfo &info) override;
 
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
     bool deviceHasRoom() const;
     void pump();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        blk::stateBios(t, self.reads_);
+        blk::stateBios(t, self.writes_);
+        t.value(self.batchCount_);
+        t.value(self.batchDir_);
+    }
 
     MqDeadlineConfig cfg_;
     std::deque<blk::BioPtr> reads_;

@@ -1,5 +1,6 @@
 #include "core/config_parse.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -36,7 +37,7 @@ configPositiveNumber(const std::string &s, double &out)
 {
     char *end = nullptr;
     const double v = std::strtod(s.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !(v > 0))
+    if (end == nullptr || *end != '\0' || !(v > 0) || !std::isfinite(v))
         return false;
     out = v;
     return true;

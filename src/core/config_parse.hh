@@ -38,7 +38,8 @@ std::vector<std::string> configTokens(const std::string &line);
 bool configKeyValue(const std::string &tok, std::string &key,
                     std::string &value);
 
-/** Parse a strictly positive number; returns false on garbage. */
+/** Parse a strictly positive, finite number; returns false on
+ *  garbage. */
 bool configPositiveNumber(const std::string &s, double &out);
 
 /**

@@ -5,9 +5,7 @@
 
 #include <string>
 
-#include "blk/bio_state.hh"
 #include "core/donation.hh"
-#include "sim/logging.hh"
 
 namespace iocost::core {
 
@@ -684,109 +682,6 @@ IoCost::emitPeriodTelemetry(sim::Time now, sim::Time elapsed,
                  100.0 * tree_->hweightInuse(cg));
         tel.emit(now, "iocost", cg, "hweight_active_pct",
                  100.0 * tree_->hweightActive(cg));
-    }
-}
-
-void
-IoCost::saveState(sim::StateWriter &w) const
-{
-    w.put(config_.model);
-    w.put(config_.qos);
-
-    w.put(gvtime_);
-    w.put(vrate_);
-    w.put(lastGvtimeUpdate_);
-    w.put(lastPlanning_);
-    w.put(gvtimeAtPlanning_);
-    w.put(periodErrors_);
-    w.put(latReadReady_);
-    w.put(latWriteReady_);
-    periodReadLat_.saveState(w);
-    periodWriteLat_.saveState(w);
-    vrateSeries_.saveState(w);
-
-    w.put(static_cast<uint32_t>(iocgs_.size()));
-    for (const Iocg &st : iocgs_) {
-        w.put(st.vtime);
-        w.put(st.absDebt);
-        w.put(st.absUsage);
-        w.put(st.lastIo);
-        w.put(st.active);
-        w.put(st.hadWait);
-        w.put(st.lastEnd);
-        w.put(st.outstanding);
-        w.put(st.busySince);
-        w.put(st.busyAccum);
-        w.put(st.periodWait);
-        w.put(st.statUsage);
-        w.put(st.statWait);
-        w.put(st.statIndebt);
-        w.put(st.statIndelay);
-        w.put(st.debtSince);
-        w.put(static_cast<uint64_t>(st.waiting.size()));
-        for (size_t i = 0; i < st.waiting.size(); ++i)
-            blk::saveBio(w, *st.waiting.at(i));
-        sim_->events().saveHandle(w, st.kick);
-    }
-
-    w.put(planningTimer_.has_value());
-    if (planningTimer_)
-        planningTimer_->saveState(w);
-}
-
-void
-IoCost::loadState(sim::StateReader &r)
-{
-    r.get(config_.model);
-    r.get(config_.qos);
-
-    r.get(gvtime_);
-    r.get(vrate_);
-    r.get(lastGvtimeUpdate_);
-    r.get(lastPlanning_);
-    r.get(gvtimeAtPlanning_);
-    r.get(periodErrors_);
-    r.get(latReadReady_);
-    r.get(latWriteReady_);
-    periodReadLat_.loadState(r);
-    periodWriteLat_.loadState(r);
-    vrateSeries_.loadState(r);
-
-    // Size the table to the snapshot: a branch may have grown it
-    // (iocg() adds entries on first submission from a new cgroup
-    // id) — those entries and their queued bios are destroyed —
-    // and a freshly built replica starts empty.
-    const auto n = r.get<uint32_t>();
-    iocgs_.resize(n);
-    for (Iocg &st : iocgs_) {
-        r.get(st.vtime);
-        r.get(st.absDebt);
-        r.get(st.absUsage);
-        r.get(st.lastIo);
-        r.get(st.active);
-        r.get(st.hadWait);
-        r.get(st.lastEnd);
-        r.get(st.outstanding);
-        r.get(st.busySince);
-        r.get(st.busyAccum);
-        r.get(st.periodWait);
-        r.get(st.statUsage);
-        r.get(st.statWait);
-        r.get(st.statIndebt);
-        r.get(st.statIndelay);
-        r.get(st.debtSince);
-        const auto waiting = r.get<uint64_t>();
-        while (!st.waiting.empty())
-            st.waiting.pop_front();
-        for (uint64_t i = 0; i < waiting; ++i)
-            st.waiting.push_back(blk::loadBio(r));
-        st.kick = sim_->events().loadHandle(r);
-    }
-
-    if (r.get<bool>()) {
-        sim::panicIf(!planningTimer_.has_value(),
-                     "IoCost::loadState: planning timer mismatch");
-        planningTimer_->loadState(r);
     }
 }
 

@@ -33,6 +33,7 @@
 #include <optional>
 #include <vector>
 
+#include "blk/bio_state.hh"
 #include "blk/block_layer.hh"
 #include "blk/io_controller.hh"
 #include "core/cost_model.hh"
@@ -259,8 +260,8 @@ class IoCost : public blk::IoController
      * scratch capacity, not state.
      * @{
      */
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
     /** @} */
 
   private:
@@ -320,6 +321,55 @@ class IoCost : public blk::IoController
 
     Iocg &iocg(cgroup::CgroupId cg);
     const Iocg *iocgIfPresent(cgroup::CgroupId cg) const;
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.value(self.config_.model);
+        t.value(self.config_.qos);
+
+        t.value(self.gvtime_);
+        t.value(self.vrate_);
+        t.value(self.lastGvtimeUpdate_);
+        t.value(self.lastPlanning_);
+        t.value(self.gvtimeAtPlanning_);
+        t.value(self.periodErrors_);
+        t.value(self.latReadReady_);
+        t.value(self.latWriteReady_);
+        t.sub(self.periodReadLat_);
+        t.sub(self.periodWriteLat_);
+        t.sub(self.vrateSeries_);
+
+        // Size the table to the snapshot: a branch may have grown it
+        // (iocg() adds entries on first submission from a new cgroup
+        // id) — those entries and their queued bios are destroyed —
+        // and a freshly built replica starts empty.
+        t.template size<uint32_t>(self.iocgs_);
+        for (auto &st : self.iocgs_) {
+            t.value(st.vtime);
+            t.value(st.absDebt);
+            t.value(st.absUsage);
+            t.value(st.lastIo);
+            t.value(st.active);
+            t.value(st.hadWait);
+            t.value(st.lastEnd);
+            t.value(st.outstanding);
+            t.value(st.busySince);
+            t.value(st.busyAccum);
+            t.value(st.periodWait);
+            t.value(st.statUsage);
+            t.value(st.statWait);
+            t.value(st.statIndebt);
+            t.value(st.statIndelay);
+            t.value(st.debtSince);
+            blk::stateBios(t, st.waiting);
+            self.sim_->events().handle(t, st.kick);
+        }
+
+        t.optional(self.planningTimer_,
+                   "IoCost::loadState: planning timer mismatch");
+    }
 
     /** Advance gvtime to now at the current vrate. */
     void updateGvtime();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "blk/bio_state.hh"
 #include "blk/service_log.hh"
 #include "sim/fault.hh"
 #include "stat/telemetry.hh"
@@ -157,64 +156,6 @@ HddModel::maybeStartService()
                    finish(owned.take(), sim_.now() - accepted);
                    maybeStartService();
                });
-}
-
-void
-HddModel::saveState(sim::StateWriter &w) const
-{
-    w.putString(spec_.name);
-    w.put(spec_.queueDepth);
-    w.put(spec_.capacityBytes);
-    w.put(spec_.seekMin);
-    w.put(spec_.seekMax);
-    w.put(spec_.rotationPeriod);
-    w.put(spec_.transferBps);
-    w.put(spec_.writeSettle);
-    w.put(spec_.maxWait);
-
-    uint64_t s[4];
-    rng_.getState(s);
-    for (uint64_t word : s)
-        w.put(word);
-
-    // NCQ backlog: each waiting bio deep-clones into the image.
-    w.put(static_cast<uint64_t>(queue_.size()));
-    for (const Pending &p : queue_) {
-        blk::saveBio(w, *p.bio);
-        w.put(p.accepted);
-    }
-    w.put(serving_);
-    w.put(headPos_);
-}
-
-void
-HddModel::loadState(sim::StateReader &r)
-{
-    spec_.name = r.getString();
-    r.get(spec_.queueDepth);
-    r.get(spec_.capacityBytes);
-    r.get(spec_.seekMin);
-    r.get(spec_.seekMax);
-    r.get(spec_.rotationPeriod);
-    r.get(spec_.transferBps);
-    r.get(spec_.writeSettle);
-    r.get(spec_.maxWait);
-
-    uint64_t s[4];
-    for (uint64_t &word : s)
-        r.get(word);
-    rng_.setState(s);
-
-    const auto n = r.get<uint64_t>();
-    queue_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        Pending p;
-        p.bio = blk::loadBio(r);
-        r.get(p.accepted);
-        queue_.push_back(std::move(p));
-    }
-    r.get(serving_);
-    r.get(headPos_);
 }
 
 } // namespace iocost::device

@@ -20,6 +20,7 @@
 #include <deque>
 #include <string>
 
+#include "blk/bio_state.hh"
 #include "blk/block_device.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
@@ -77,8 +78,8 @@ class HddModel : public blk::BlockDevice
      *  is serialized state, so restore rolls a swap back. */
     void setSpec(HddSpec spec) { spec_ = std::move(spec); }
 
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
     struct Pending
@@ -92,6 +93,35 @@ class HddModel : public blk::BlockDevice
 
     /** Pick and service the best queued request. */
     void maybeStartService();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.string(self.spec_.name);
+        t.value(self.spec_.queueDepth);
+        t.value(self.spec_.capacityBytes);
+        t.value(self.spec_.seekMin);
+        t.value(self.spec_.seekMax);
+        t.value(self.spec_.rotationPeriod);
+        t.value(self.spec_.transferBps);
+        t.value(self.spec_.writeSettle);
+        t.value(self.spec_.maxWait);
+
+        t.rng(self.rng_);
+
+        // NCQ backlog: each waiting bio deep-clones into the image.
+        // Loading destroys the current backlog before cloning any.
+        if constexpr (Tape::kLoading)
+            self.queue_.clear();
+        t.template size<uint64_t>(self.queue_);
+        for (auto &p : self.queue_) {
+            blk::stateBio(t, p.bio);
+            t.value(p.accepted);
+        }
+        t.value(self.serving_);
+        t.value(self.headPos_);
+    }
 
     sim::Simulator &sim_;
     HddSpec spec_;

@@ -66,43 +66,26 @@ class RemoteModel : public blk::BlockDevice
      *  is serialized state, so restore rolls a swap back. */
     void setSpec(RemoteSpec spec) { spec_ = std::move(spec); }
 
-    void
-    saveState(sim::StateWriter &w) const override
-    {
-        w.putString(spec_.name);
-        w.put(spec_.queueDepth);
-        w.put(spec_.iopsCap);
-        w.put(spec_.bpsCap);
-        w.put(spec_.baseRtt);
-        w.put(spec_.rttSigma);
-        w.put(spec_.nsPerByte);
-        uint64_t s[4];
-        rng_.getState(s);
-        for (uint64_t word : s)
-            w.put(word);
-        w.put(limiterNext_);
-        w.put(inFlight_);
-    }
-
-    void
-    loadState(sim::StateReader &r) override
-    {
-        spec_.name = r.getString();
-        r.get(spec_.queueDepth);
-        r.get(spec_.iopsCap);
-        r.get(spec_.bpsCap);
-        r.get(spec_.baseRtt);
-        r.get(spec_.rttSigma);
-        r.get(spec_.nsPerByte);
-        uint64_t s[4];
-        for (uint64_t &word : s)
-            r.get(word);
-        rng_.setState(s);
-        r.get(limiterNext_);
-        r.get(inFlight_);
-    }
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.string(self.spec_.name);
+        t.value(self.spec_.queueDepth);
+        t.value(self.spec_.iopsCap);
+        t.value(self.spec_.bpsCap);
+        t.value(self.spec_.baseRtt);
+        t.value(self.spec_.rttSigma);
+        t.value(self.spec_.nsPerByte);
+        t.rng(self.rng_);
+        t.value(self.limiterNext_);
+        t.value(self.inFlight_);
+    }
+
     sim::Simulator &sim_;
     RemoteSpec spec_;
     sim::Rng rng_;

@@ -191,77 +191,4 @@ SsdModel::submit(blk::BioPtr &bio)
     return true;
 }
 
-void
-SsdModel::saveState(sim::StateWriter &w) const
-{
-    // The spec is mutable (what-if profile swaps), so it is state.
-    w.putString(spec_.name);
-    w.put(spec_.queueDepth);
-    w.put(spec_.channels);
-    w.put(spec_.readBaseSeq);
-    w.put(spec_.readBaseRand);
-    w.put(spec_.writeBaseSeq);
-    w.put(spec_.writeBaseRand);
-    w.put(spec_.readNsPerByte);
-    w.put(spec_.writeNsPerByte);
-    w.put(spec_.jitterSigma);
-    w.put(spec_.writeBufferBytes);
-    w.put(spec_.sustainedWriteBps);
-    w.put(spec_.gcWriteMult);
-    w.put(spec_.gcReadMult);
-    w.put(spec_.hiccupMeanInterval);
-    w.put(spec_.hiccupDuration);
-
-    uint64_t s[4];
-    rng_.getState(s);
-    for (uint64_t word : s)
-        w.put(word);
-
-    w.putPods(channelHeap_);
-    w.put(inFlight_);
-    w.put(lastEndOffset_);
-    w.put(writeCredit_);
-    w.put(lastRefill_);
-    w.put(gcNext_);
-    w.put(nextHiccup_);
-    w.put(hiccups_);
-    w.put(lastGcTelemetry_);
-}
-
-void
-SsdModel::loadState(sim::StateReader &r)
-{
-    spec_.name = r.getString();
-    r.get(spec_.queueDepth);
-    r.get(spec_.channels);
-    r.get(spec_.readBaseSeq);
-    r.get(spec_.readBaseRand);
-    r.get(spec_.writeBaseSeq);
-    r.get(spec_.writeBaseRand);
-    r.get(spec_.readNsPerByte);
-    r.get(spec_.writeNsPerByte);
-    r.get(spec_.jitterSigma);
-    r.get(spec_.writeBufferBytes);
-    r.get(spec_.sustainedWriteBps);
-    r.get(spec_.gcWriteMult);
-    r.get(spec_.gcReadMult);
-    r.get(spec_.hiccupMeanInterval);
-    r.get(spec_.hiccupDuration);
-
-    uint64_t s[4];
-    for (uint64_t &word : s)
-        r.get(word);
-    rng_.setState(s);
-
-    r.getPods(channelHeap_);
-    r.get(inFlight_);
-    r.get(lastEndOffset_);
-    r.get(writeCredit_);
-    r.get(lastRefill_);
-    r.get(gcNext_);
-    r.get(nextHiccup_);
-    r.get(hiccups_);
-    r.get(lastGcTelemetry_);
-}
-
 } // namespace iocost::device

@@ -134,12 +134,47 @@ class SsdModel : public blk::BlockDevice
      */
     void setSpec(SsdSpec spec) { spec_ = std::move(spec); }
 
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
 
   private:
     sim::Time serviceTime(const blk::Bio &bio);
     void refillWriteCredit();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        // The spec is mutable (what-if profile swaps), so it is state.
+        t.string(self.spec_.name);
+        t.value(self.spec_.queueDepth);
+        t.value(self.spec_.channels);
+        t.value(self.spec_.readBaseSeq);
+        t.value(self.spec_.readBaseRand);
+        t.value(self.spec_.writeBaseSeq);
+        t.value(self.spec_.writeBaseRand);
+        t.value(self.spec_.readNsPerByte);
+        t.value(self.spec_.writeNsPerByte);
+        t.value(self.spec_.jitterSigma);
+        t.value(self.spec_.writeBufferBytes);
+        t.value(self.spec_.sustainedWriteBps);
+        t.value(self.spec_.gcWriteMult);
+        t.value(self.spec_.gcReadMult);
+        t.value(self.spec_.hiccupMeanInterval);
+        t.value(self.spec_.hiccupDuration);
+
+        t.rng(self.rng_);
+
+        t.pods(self.channelHeap_);
+        t.value(self.inFlight_);
+        t.value(self.lastEndOffset_);
+        t.value(self.writeCredit_);
+        t.value(self.lastRefill_);
+        t.value(self.gcNext_);
+        t.value(self.nextHiccup_);
+        t.value(self.hiccups_);
+        t.value(self.lastGcTelemetry_);
+    }
     double gcExitCredit() const
     {
         // Hysteresis: GC is considered active until the buffer

@@ -59,25 +59,8 @@ Host::snapshot() const
                  "shared_ptr state); build what-if scenarios "
                  "without enableMemory");
 
-    // Tape order is the restore order; every layer appears exactly
-    // once. The simulator (event arena + clock + root RNG) goes
-    // first so a restore rebuilds the arena before any component
-    // rebinds its EventHandles against it.
     sim::StateWriter w;
-    sim_.saveState(w);
-    tree_.saveState(w);
-    device_->saveState(w);
-    layer_->saveState(w);
-    w.put(faults_ != nullptr);
-    if (faults_)
-        faults_->saveState(w);
-    w.put(pagecache_ != nullptr);
-    if (pagecache_)
-        pagecache_->saveState(w);
-    w.put(static_cast<uint32_t>(tracked_.size()));
-    for (const sim::Snapshottable *obj : tracked_)
-        obj->saveState(w);
-
+    walk(*this, w);
     HostSnapshot snap;
     snap.image_ = std::move(w).finish();
     return snap;
@@ -87,28 +70,7 @@ void
 Host::restore(const HostSnapshot &snap)
 {
     sim::StateReader r(snap.image_);
-    sim_.loadState(r);
-    tree_.loadState(r);
-    device_->loadState(r);
-    layer_->loadState(r);
-    const bool had_faults = r.get<bool>();
-    sim::panicIf(had_faults != (faults_ != nullptr),
-                 "Host::restore: fault injector presence mismatch — "
-                 "snapshots restore state, not structure");
-    if (faults_)
-        faults_->loadState(r);
-    const bool had_pagecache = r.get<bool>();
-    sim::panicIf(had_pagecache != (pagecache_ != nullptr),
-                 "Host::restore: page cache presence mismatch — "
-                 "snapshots restore state, not structure");
-    if (pagecache_)
-        pagecache_->loadState(r);
-    const auto tracked = r.get<uint32_t>();
-    sim::panicIf(tracked != tracked_.size(),
-                 "Host::restore: tracked-object count mismatch — "
-                 "register the same workloads in the same order");
-    for (sim::Snapshottable *obj : tracked_)
-        obj->loadState(r);
+    walk(*this, r);
     sim::panicIf(!r.atEnd(),
                  "Host::restore: trailing bytes in snapshot image");
 }

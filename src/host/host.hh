@@ -267,6 +267,36 @@ class Host
     void resetStats() { layer_->resetStats(); }
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        // Tape order is the restore order; every layer appears exactly
+        // once. The simulator (event arena + clock + root RNG) goes
+        // first so a restore rebuilds the arena before any component
+        // rebinds its EventHandles against it.
+        t.sub(self.sim_);
+        t.sub(self.tree_);
+        t.sub(*self.device_);
+        t.sub(*self.layer_);
+        t.same(self.faults_ != nullptr,
+               "Host::restore: fault injector presence mismatch — "
+               "snapshots restore state, not structure");
+        if (self.faults_)
+            t.sub(*self.faults_);
+        t.same(self.pagecache_ != nullptr,
+               "Host::restore: page cache presence mismatch — "
+               "snapshots restore state, not structure");
+        if (self.pagecache_)
+            t.sub(*self.pagecache_);
+        t.template same<uint32_t>(
+            self.tracked_.size(),
+            "Host::restore: tracked-object count mismatch — "
+            "register the same workloads in the same order");
+        for (sim::Snapshottable *obj : self.tracked_)
+            t.sub(*obj);
+    }
+
     sim::Simulator &sim_;
     std::unique_ptr<blk::BlockDevice> device_;
     /** Owned injector; outlives the device's borrowed pointer. */

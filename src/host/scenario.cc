@@ -45,6 +45,8 @@ applyJobKey(JobSpec &job, const std::string &key,
         job.fio.iodepth = static_cast<unsigned>(sim::parseCount(value));
     } else if (key == "bs") {
         job.fio.blockSize = static_cast<uint32_t>(sim::parseBytes(value));
+        if (job.fio.blockSize == 0)
+            bad("must be positive");
     } else if (key == "rw") {
         if (value == "read")
             job.fio.readFraction = 1.0;
@@ -64,6 +66,8 @@ applyJobKey(JobSpec &job, const std::string &key,
     } else if (key == "rate") {
         job.fio.arrival = workload::Arrival::Rate;
         job.fio.ratePerSec = sim::parseNumber(value);
+        if (!(job.fio.ratePerSec > 0))
+            bad("must be positive");
     } else if (key == "buffered") {
         job.buffered = sim::parseCount(value) != 0;
     } else if (key == "fsync") {

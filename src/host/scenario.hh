@@ -46,10 +46,10 @@
  *   weight=W               io.weight of the job's cgroup (100)
  *   depth=D                IOs in flight; concurrent streams of a
  *                          buffered job (64)
- *   bs=BYTES               transfer size, K/M/G suffixes (4K)
+ *   bs=BYTES               transfer size > 0, K/M/G suffixes (4K)
  *   rw=read|write|mixed    (read)
  *   pattern=rand|seq       (rand)
- *   rate=R                 open-loop arrivals at R IOs/s instead of a
+ *   rate=R                 open-loop arrivals at R > 0 IOs/s instead of a
  *                          saturating queue (direct jobs)
  *   buffered=0|1           route through the page cache: writes dirty
  *                          pages, reads hit or miss the cache

@@ -462,89 +462,4 @@ PageCache::publishTelemetry()
              static_cast<double>(totalCached_));
 }
 
-void
-PageCache::saveState(sim::StateWriter &w) const
-{
-    sim::panicIf(waking_,
-                 "PageCache::saveState during a wake pass");
-
-    const std::vector<CacheCgroupStats> flat(stats_.begin(),
-                                             stats_.end());
-    w.putPods(flat);
-    w.put(totalCached_);
-    w.put(totalDirty_);
-    w.put(wbInflight_);
-
-    std::vector<DirtyExtent> q(queue_.size());
-    for (size_t i = 0; i < queue_.size(); ++i)
-        q[i] = queue_[i];
-    w.putPods(q);
-
-    uint64_t rs[4];
-    rng_.getState(rs);
-    w.putPods(rs, 4);
-
-    w.put(static_cast<uint32_t>(slots_.size()));
-    for (const OpSlot &sl : slots_) {
-        w.put(sl.inUse);
-        w.put(sl.target);
-        w.put(sl.parkedAt);
-        w.put(sl.cg);
-        w.put(static_cast<uint8_t>(sl.kind));
-        w.put(sl.nextFree);
-        if (sl.inUse) {
-            w.putBox(std::make_shared<const DoneFn>(
-                sl.done.clone()));
-        }
-    }
-    w.put(freeSlot_);
-    w.putPods(throttled_);
-    w.putPods(fsyncWaiters_);
-
-    flushTimer_->saveState(w);
-    w.put(kickPending_);
-    sim_.events().saveHandle(w, kickEvent_);
-}
-
-void
-PageCache::loadState(sim::StateReader &r)
-{
-    std::vector<CacheCgroupStats> flat;
-    r.getPods(flat);
-    stats_.assign(flat.begin(), flat.end());
-    r.get(totalCached_);
-    r.get(totalDirty_);
-    r.get(wbInflight_);
-
-    std::vector<DirtyExtent> q;
-    r.getPods(q);
-    queue_.assign(q);
-
-    std::vector<uint64_t> rs;
-    r.getPods(rs);
-    rng_.setState(rs.data());
-
-    const auto n = r.get<uint32_t>();
-    slots_.resize(n);
-    for (OpSlot &sl : slots_) {
-        r.get(sl.inUse);
-        r.get(sl.target);
-        r.get(sl.parkedAt);
-        r.get(sl.cg);
-        sl.kind = static_cast<OpKind>(r.get<uint8_t>());
-        r.get(sl.nextFree);
-        if (sl.inUse)
-            sl.done = r.getBoxAs<DoneFn>()->clone();
-        else
-            sl.done.reset();
-    }
-    r.get(freeSlot_);
-    r.getPods(throttled_);
-    r.getPods(fsyncWaiters_);
-
-    flushTimer_->loadState(r);
-    r.get(kickPending_);
-    kickEvent_ = sim_.events().loadHandle(r);
-}
-
 } // namespace iocost::mm

@@ -110,7 +110,7 @@ struct PageCacheConfig
 
 /**
  * Per-cgroup page-cache counters. Trivially copyable by design:
- * the snapshot path serializes the whole table with one putPods.
+ * the snapshot path serializes the whole table with one pods() call.
  */
 struct CacheCgroupStats
 {
@@ -233,8 +233,8 @@ class PageCache : public sim::Snapshottable
      * inside stalls and fsync barriers).
      * @{
      */
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
     /** @} */
 
   private:
@@ -405,6 +405,58 @@ class PageCache : public sim::Snapshottable
 
     /** Period-level writeback telemetry (source "wb"). */
     void publishTelemetry();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        if constexpr (!Tape::kLoading) {
+            sim::panicIf(self.waking_,
+                         "PageCache::saveState during a wake pass");
+        }
+
+        // The stats deque, the extent ring and the RNG (one array here,
+        // not four words) go on the tape as flat copies, which loading
+        // copies back.
+        std::vector<CacheCgroupStats> flat(self.stats_.begin(),
+                                           self.stats_.end());
+        t.pods(flat);
+        t.value(self.totalCached_);
+        t.value(self.totalDirty_);
+        t.value(self.wbInflight_);
+
+        std::vector<DirtyExtent> q(self.queue_.size());
+        for (size_t i = 0; i < self.queue_.size(); ++i)
+            q[i] = self.queue_[i];
+        t.pods(q);
+
+        std::vector<uint64_t> rs(4);
+        self.rng_.getState(rs.data());
+        t.pods(rs);
+        if constexpr (Tape::kLoading) {
+            self.stats_.assign(flat.begin(), flat.end());
+            self.queue_.assign(q);
+            self.rng_.setState(rs.data());
+        }
+
+        t.template size<uint32_t>(self.slots_);
+        for (auto &sl : self.slots_) {
+            t.value(sl.inUse);
+            t.value(sl.target);
+            t.value(sl.parkedAt);
+            t.value(sl.cg);
+            t.value(sl.kind);
+            t.value(sl.nextFree);
+            t.callback(sl.done, sl.inUse);
+        }
+        t.value(self.freeSlot_);
+        t.pods(self.throttled_);
+        t.pods(self.fsyncWaiters_);
+
+        t.sub(*self.flushTimer_);
+        t.value(self.kickPending_);
+        self.sim_.events().handle(t, self.kickEvent_);
+    }
 
     sim::Simulator &sim_;
     blk::BlockLayer &layer_;

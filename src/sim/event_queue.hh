@@ -221,66 +221,30 @@ class EventQueue
      * @{
      */
 
-    void
-    saveState(StateWriter &w) const
-    {
-        w.put(now_);
-        w.put(nextSeq_);
-        w.put(freeHead_);
-        w.putPods(heap_);
-        w.put(static_cast<uint32_t>(slots_.size()));
-        for (const Slot &s : slots_) {
-            w.put(s.gen);
-            w.put(s.nextFree);
-            const bool armed = static_cast<bool>(s.cb);
-            w.put(armed);
-            if (armed) {
-                w.putBox(std::make_shared<const EventCallback>(
-                    s.cb.clone()));
-            }
-        }
-    }
-
-    void
-    loadState(StateReader &r)
-    {
-        r.get(now_);
-        r.get(nextSeq_);
-        r.get(freeHead_);
-        r.getPods(heap_);
-        const auto n = r.get<uint32_t>();
-        // Destroy current callbacks first: post-snapshot events may
-        // hold resources (pooled bios) that must return to their
-        // owners before the restored callbacks re-clone theirs.
-        slots_.clear();
-        slots_.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-            Slot &s = slots_[i];
-            r.get(s.gen);
-            r.get(s.nextFree);
-            if (r.get<bool>())
-                s.cb = r.getBoxAs<EventCallback>()->clone();
-        }
-    }
+    void saveState(StateWriter &w) const { walk(*this, w); }
+    void loadState(StateReader &r) { walk(*this, r); }
 
     /** Persist a component's EventHandle as its (slot, generation)
      *  coordinates; valid again after the arena is restored. */
     void
-    saveHandle(StateWriter &w, const EventHandle &h) const
+    handle(StateWriter &w, const EventHandle &h) const
     {
-        w.put(h.queue_ != nullptr);
-        w.put(h.slot_);
-        w.put(h.gen_);
+        w.value(h.queue_ != nullptr);
+        w.value(h.slot_);
+        w.value(h.gen_);
     }
 
-    /** Rebind a handle saved by saveHandle() to this queue. */
-    EventHandle
-    loadHandle(StateReader &r)
+    /** Rebind a handle saved by the writer overload to this queue. */
+    void
+    handle(StateReader &r, EventHandle &h)
     {
-        const bool bound = r.get<bool>();
-        const auto slot = r.get<uint32_t>();
-        const auto gen = r.get<uint32_t>();
-        return bound ? EventHandle(this, slot, gen) : EventHandle();
+        bool bound = false;
+        uint32_t slot = 0;
+        uint32_t gen = 0;
+        r.value(bound);
+        r.value(slot);
+        r.value(gen);
+        h = bound ? EventHandle(this, slot, gen) : EventHandle();
     }
 
     /** @} */
@@ -309,6 +273,29 @@ class EventQueue
     };
 
     static constexpr uint32_t kNoFree = UINT32_MAX;
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.value(self.now_);
+        t.value(self.nextSeq_);
+        t.value(self.freeHead_);
+        t.pods(self.heap_);
+        // Destroy current callbacks first: post-snapshot events may
+        // hold resources (pooled bios) that must return to their
+        // owners before the restored callbacks re-clone theirs.
+        if constexpr (Tape::kLoading)
+            self.slots_.clear();
+        t.template size<uint32_t>(self.slots_);
+        for (auto &s : self.slots_) {
+            t.value(s.gen);
+            t.value(s.nextFree);
+            bool armed = static_cast<bool>(s.cb);
+            t.value(armed);
+            t.callback(s.cb, armed);
+        }
+    }
 
     static bool
     earlier(const HeapEntry &a, const HeapEntry &b)

@@ -236,55 +236,34 @@ class FaultInjector
     /** @name Snapshot support (the whole plan is state: what-if
      *  queries mutate it, so restore must roll it back too).
      *  @{ */
-    void
-    saveState(StateWriter &w) const
-    {
-        // Field-by-field, not putPods: FaultWindow carries padding
-        // after its uint8 kind, and raw padding bytes would make
-        // the tape differ between byte-identical states.
-        w.put(static_cast<uint64_t>(plan_.windows.size()));
-        for (const FaultWindow &win : plan_.windows) {
-            w.put(static_cast<uint8_t>(win.kind));
-            w.put(win.start);
-            w.put(win.duration);
-            w.put(win.param);
-        }
-        w.put(plan_.seed);
-        w.put(plan_.maxRetries);
-        w.put(plan_.retryBackoffBase);
-        w.put(plan_.bioTimeout);
-        uint64_t s[4];
-        rng_.getState(s);
-        for (uint64_t word : s)
-            w.put(word);
-        w.put(lastStallReported_);
-        w.put(errorsInjected_);
-    }
-
-    void
-    loadState(StateReader &r)
-    {
-        plan_.windows.resize(r.get<uint64_t>());
-        for (FaultWindow &win : plan_.windows) {
-            win.kind = static_cast<FaultKind>(r.get<uint8_t>());
-            r.get(win.start);
-            r.get(win.duration);
-            r.get(win.param);
-        }
-        r.get(plan_.seed);
-        r.get(plan_.maxRetries);
-        r.get(plan_.retryBackoffBase);
-        r.get(plan_.bioTimeout);
-        uint64_t s[4];
-        for (uint64_t &word : s)
-            r.get(word);
-        rng_.setState(s);
-        r.get(lastStallReported_);
-        r.get(errorsInjected_);
-    }
+    void saveState(StateWriter &w) const { walk(*this, w); }
+    void loadState(StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        // Field-by-field, not pods: FaultWindow carries padding
+        // after its uint8 kind, and raw padding bytes would make
+        // the tape differ between byte-identical states.
+        t.template size<uint64_t>(self.plan_.windows);
+        for (auto &win : self.plan_.windows) {
+            t.value(win.kind);
+            t.value(win.start);
+            t.value(win.duration);
+            t.value(win.param);
+        }
+        t.value(self.plan_.seed);
+        t.value(self.plan_.maxRetries);
+        t.value(self.plan_.retryBackoffBase);
+        t.value(self.plan_.bioTimeout);
+        t.rng(self.rng_);
+        t.value(self.lastStallReported_);
+        t.value(self.errorsInjected_);
+    }
+
     FaultPlan plan_;
     Rng rng_;
     Time lastStallReported_ = -1;

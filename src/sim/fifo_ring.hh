@@ -60,6 +60,14 @@ class FifoRing
         --count_;
     }
 
+    /** Pops every element, front first. */
+    void
+    clear()
+    {
+        while (!empty())
+            pop_front();
+    }
+
   private:
     void
     grow()

@@ -1,5 +1,6 @@
 #include "sim/parse.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -26,6 +27,8 @@ leadingNumber(const std::string &text, std::string &rest)
     } catch (const std::exception &) {
         bad("unparsable number \"" + text + "\"");
     }
+    if (!std::isfinite(value))
+        bad("non-finite number \"" + text + "\"");
     rest = text.substr(pos);
     return value;
 }

@@ -19,7 +19,8 @@
 
 namespace iocost::sim {
 
-/** A whole-string decimal number ("2", "0.5", "1e3"). */
+/** A whole-string finite decimal number ("2", "0.5", "1e3"; not
+ *  "inf" or "nan"). */
 double parseNumber(const std::string &text);
 
 /** A whole-string non-negative integer (no sign, no fraction). */

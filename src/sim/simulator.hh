@@ -69,30 +69,19 @@ class Simulator
 
     /** @name Snapshot support: clock, event arena, root RNG.
      *  @{ */
-    void
-    saveState(StateWriter &w) const
-    {
-        events_.saveState(w);
-        uint64_t s[4];
-        rootRng_.getState(s);
-        w.put(s[0]);
-        w.put(s[1]);
-        w.put(s[2]);
-        w.put(s[3]);
-    }
-
-    void
-    loadState(StateReader &r)
-    {
-        events_.loadState(r);
-        uint64_t s[4];
-        for (auto &word : s)
-            r.get(word);
-        rootRng_.setState(s);
-    }
+    void saveState(StateWriter &w) const { walk(*this, w); }
+    void loadState(StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.sub(self.events_);
+        t.rng(self.rootRng_);
+    }
+
     EventQueue events_;
     Rng rootRng_;
 };
@@ -156,24 +145,20 @@ class PeriodicTimer
      * here; cb_ is wiring, not state.
      * @{
      */
-    void
-    saveState(StateWriter &w) const
-    {
-        w.put(running_);
-        w.put(period_);
-        sim_.events().saveHandle(w, pending_);
-    }
-
-    void
-    loadState(StateReader &r)
-    {
-        r.get(running_);
-        r.get(period_);
-        pending_ = sim_.events().loadHandle(r);
-    }
+    void saveState(StateWriter &w) const { walk(*this, w); }
+    void loadState(StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.value(self.running_);
+        t.value(self.period_);
+        self.sim_.events().handle(t, self.pending_);
+    }
+
     /**
      * Pointer-sized re-arm thunk: always stored inline in the event
      * slot, so a running timer never allocates. The callback itself

@@ -18,10 +18,28 @@
  *    Host::branch() cheap — branches share the snapshot, never
  *    mutate it).
  *
- * Writers and readers must put/get in exactly the same order; the
- * contract is positional, like the kernel's own suspend images.
- * saveState() must be const — taking a snapshot never perturbs the
- * simulation (determinism depends on it).
+ * The contract is positional, like the kernel's own suspend images,
+ * so each layer lists its state once, in one walk that both
+ * directions run:
+ *
+ *     template <typename Self, typename Tape>
+ *     static void walk(Self &self, Tape &t)
+ *     {
+ *         t.value(self.count_);
+ *         t.template size<uint32_t>(self.slots_);
+ *         for (auto &s : self.slots_)
+ *             t.sub(s.latency);
+ *     }
+ *
+ * saveState() runs it as walk(*this, w) and loadState() as
+ * walk(*this, r). StateWriter and StateReader share every verb name
+ * (value, string, pods, rng, sub, size, same, optional, callback),
+ * the writer appending and the reader restoring in place, so the two
+ * directions cannot drift apart. When saving, Self is const, so the
+ * compiler still checks that taking a snapshot never perturbs the
+ * simulation (determinism depends on it). The few steps that run in
+ * one direction only (a reader destroying old state before it
+ * rebuilds, a check before saving) test Tape::kLoading.
  */
 
 #ifndef IOCOST_SIM_STATE_HH
@@ -30,12 +48,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace iocost::sim {
 
@@ -51,24 +71,32 @@ struct StateImage
     size_t boxCount() const { return boxes.size(); }
 };
 
-/** Sequential writer building a StateImage. */
+/**
+ * Sequential writer building a StateImage.
+ *
+ * Its verbs mirror StateReader's name for name, so one walk lists a
+ * layer's state for both directions (see the file comment).
+ */
 class StateWriter
 {
   public:
+    /** False: walks test this for their one-direction steps. */
+    static constexpr bool kLoading = false;
+
     /** Append one trivially-copyable value. */
     template <typename T>
     void
-    put(const T &v)
+    value(const T &v)
     {
         static_assert(std::is_trivially_copyable_v<T>,
-                      "put() is for trivially-copyable values");
+                      "value() is for trivially-copyable values");
         tag(podTag<T>());
         raw(&v, sizeof(T));
     }
 
     /** Append a length-prefixed string. */
     void
-    putString(std::string_view s)
+    string(std::string_view s)
     {
         tag(kTagString);
         const uint64_t n = s.size();
@@ -77,26 +105,74 @@ class StateWriter
     }
 
     /** Append a length-prefixed array of trivially-copyable
-     *  elements (vector<T>, deque-backed copies, raw spans). */
+     *  elements. */
     template <typename T>
     void
-    putPods(const T *data, size_t count)
+    pods(const std::vector<T> &v)
     {
         static_assert(std::is_trivially_copyable_v<T>,
-                      "putPods() is for trivially-copyable element "
+                      "pods() is for trivially-copyable element "
                       "types");
         tag(kTagArray);
         tag(podTag<T>());
-        const uint64_t n = count;
+        const uint64_t n = v.size();
         raw(&n, sizeof(n));
-        raw(data, count * sizeof(T));
+        raw(v.data(), v.size() * sizeof(T));
     }
 
+    /** Append an RNG's four state words. */
+    void
+    rng(const Rng &g)
+    {
+        uint64_t s[4];
+        g.getState(s);
+        for (uint64_t word : s)
+            value(word);
+    }
+
+    /** Append a nested layer's state (its saveState()). */
     template <typename T>
     void
-    putPods(const std::vector<T> &v)
+    sub(const T &x)
     {
-        putPods(v.data(), v.size());
+        x.saveState(*this);
+    }
+
+    /** Append a container's element count as an N; the reader
+     *  resizes to it. */
+    template <typename N, typename C>
+    void
+    size(const C &c)
+    {
+        value(static_cast<N>(c.size()));
+    }
+
+    /** Append a structural count or flag that a restore must find
+     *  unchanged; the reader panics with the message otherwise. */
+    template <typename N>
+    void
+    same(N n, const char * /* mismatch */)
+    {
+        value(n);
+    }
+
+    /** Append an optional layer's presence flag, then its state. */
+    template <typename T>
+    void
+    optional(const std::optional<T> &o, const char * /* mismatch */)
+    {
+        value(o.has_value());
+        if (o)
+            sub(*o);
+    }
+
+    /** Box a clone of a cloneable callback when @p present. */
+    template <typename F>
+    void
+    callback(const F &fn, bool present)
+    {
+        if (present)
+            putBox(std::make_shared<const F>(fn.clone()));
     }
 
     /** Append a boxed live object (cloned callback, cloned bio). */
@@ -106,8 +182,6 @@ class StateWriter
         tag(kTagBox);
         img_.boxes.push_back(std::move(box));
     }
-
-    size_t byteSize() const { return img_.bytes.size(); }
 
     /** Hand over the finished image. */
     StateImage finish() && { return std::move(img_); }
@@ -149,44 +223,37 @@ class StateWriter
 class StateReader
 {
   public:
+    /** True: walks test this for their one-direction steps. */
+    static constexpr bool kLoading = true;
+
     explicit StateReader(const StateImage &img) : img_(&img) {}
 
     template <typename T>
     void
-    get(T &out)
+    value(T &out)
     {
         static_assert(std::is_trivially_copyable_v<T>,
-                      "get() is for trivially-copyable values");
+                      "value() is for trivially-copyable values");
         expect(StateWriter::podTag<T>(), "pod");
         copyOut(&out, sizeof(T));
     }
 
-    template <typename T>
-    T
-    get()
-    {
-        T out{};
-        get(out);
-        return out;
-    }
-
-    std::string
-    getString()
+    void
+    string(std::string &out)
     {
         expect(StateWriter::kTagString, "string");
         uint64_t n = 0;
         copyOut(&n, sizeof(n));
         checkAvail(n);
-        std::string s(reinterpret_cast<const char *>(
-                          img_->bytes.data() + pos_),
-                      n);
+        out.assign(reinterpret_cast<const char *>(
+                       img_->bytes.data() + pos_),
+                   n);
         pos_ += n;
-        return s;
     }
 
     template <typename T>
     void
-    getPods(std::vector<T> &out)
+    pods(std::vector<T> &out)
     {
         expect(StateWriter::kTagArray, "array");
         expect(StateWriter::podTag<T>(), "array element");
@@ -201,14 +268,64 @@ class StateReader
         pos_ += n * sizeof(T);
     }
 
-    /** Next box, untyped. */
-    std::shared_ptr<const void>
-    getBox()
+    void
+    rng(Rng &g)
     {
-        expect(StateWriter::kTagBox, "box");
-        panicIf(boxPos_ >= img_->boxes.size(),
-                "snapshot box tape exhausted");
-        return img_->boxes[boxPos_++];
+        uint64_t s[4];
+        for (uint64_t &word : s)
+            value(word);
+        g.setState(s);
+    }
+
+    template <typename T>
+    void
+    sub(T &x)
+    {
+        x.loadState(*this);
+    }
+
+    template <typename N, typename C>
+    void
+    size(C &c)
+    {
+        N n{};
+        value(n);
+        c.resize(n);
+    }
+
+    template <typename N>
+    void
+    same(N n, const char *mismatch)
+    {
+        N saved{};
+        value(saved);
+        panicIf(saved != n, mismatch);
+    }
+
+    /** A present layer must exist here too (else @p mismatch); an
+     *  absent one leaves this side's untouched. */
+    template <typename T>
+    void
+    optional(std::optional<T> &o, const char *mismatch)
+    {
+        bool present = false;
+        value(present);
+        if (present) {
+            panicIf(!o.has_value(), mismatch);
+            sub(*o);
+        }
+    }
+
+    /** Clone the next boxed callback into @p fn when @p present;
+     *  otherwise empty it. */
+    template <typename F>
+    void
+    callback(F &fn, bool present)
+    {
+        if (present)
+            fn = getBoxAs<F>()->clone();
+        else
+            fn.reset();
     }
 
     /** Next box, cast to the type the writer stored. */
@@ -216,7 +333,11 @@ class StateReader
     std::shared_ptr<const T>
     getBoxAs()
     {
-        return std::static_pointer_cast<const T>(getBox());
+        expect(StateWriter::kTagBox, "box");
+        panicIf(boxPos_ >= img_->boxes.size(),
+                "snapshot box tape exhausted");
+        return std::static_pointer_cast<const T>(
+            img_->boxes[boxPos_++]);
     }
 
     /** True when both tapes are fully consumed. */
@@ -261,6 +382,13 @@ class StateReader
 
 /**
  * The snapshot contract every mutable-state layer implements.
+ *
+ * Implementations forward both functions to one static walk over
+ * their state (see the file comment). Layers never held through a
+ * base pointer (simulator, event queue, timers, fault injector,
+ * cgroup tree, block layer, stat windows) have the same two
+ * functions without the base, and Host::snapshot()/restore() run
+ * the host's walk.
  *
  * loadState() restores *in place*: the object keeps its identity
  * (address, wiring to neighbors) and only its mutable state rolls

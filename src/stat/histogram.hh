@@ -132,34 +132,25 @@ class Histogram
      * restored histogram is bit-identical to the saved one.
      * @{
      */
-    void
-    saveState(sim::StateWriter &w) const
-    {
-        w.put(subBits_);
-        w.putPods(buckets_);
-        w.put(count_);
-        w.put(total_);
-        w.put(sumSquares_);
-        w.put(min_);
-        w.put(max_);
-        w.put(windowStart_);
-    }
-
-    void
-    loadState(sim::StateReader &r)
-    {
-        r.get(subBits_);
-        r.getPods(buckets_);
-        r.get(count_);
-        r.get(total_);
-        r.get(sumSquares_);
-        r.get(min_);
-        r.get(max_);
-        r.get(windowStart_);
-    }
+    void saveState(sim::StateWriter &w) const { walk(*this, w); }
+    void loadState(sim::StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.value(self.subBits_);
+        t.pods(self.buckets_);
+        t.value(self.count_);
+        t.value(self.total_);
+        t.value(self.sumSquares_);
+        t.value(self.min_);
+        t.value(self.max_);
+        t.value(self.windowStart_);
+    }
+
     unsigned
     bucketIndex(uint64_t value) const
     {

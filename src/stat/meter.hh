@@ -62,22 +62,19 @@ class RateMeter
 
     /** @name Snapshot support (window-API companion).
      *  @{ */
-    void
-    saveState(sim::StateWriter &w) const
-    {
-        w.put(windowStart_);
-        w.put(count_);
-    }
-
-    void
-    loadState(sim::StateReader &r)
-    {
-        r.get(windowStart_);
-        r.get(count_);
-    }
+    void saveState(sim::StateWriter &w) const { walk(*this, w); }
+    void loadState(sim::StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.value(self.windowStart_);
+        t.value(self.count_);
+    }
+
     sim::Time windowStart_ = 0;
     uint64_t count_ = 0;
 };

@@ -194,24 +194,20 @@ class TimeSeries
     /** @name Snapshot support (window-API companion; the name is
      *  identity, not state, and is not serialized).
      *  @{ */
-    void
-    saveState(sim::StateWriter &w) const
-    {
-        w.putPods(points_);
-        w.put(windowStart_);
-        w.put(static_cast<uint64_t>(windowFrom_));
-    }
-
-    void
-    loadState(sim::StateReader &r)
-    {
-        r.getPods(points_);
-        r.get(windowStart_);
-        windowFrom_ = static_cast<size_t>(r.get<uint64_t>());
-    }
+    void saveState(sim::StateWriter &w) const { walk(*this, w); }
+    void loadState(sim::StateReader &r) { walk(*this, r); }
     /** @} */
 
   private:
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.pods(self.points_);
+        t.value(self.windowStart_);
+        t.value(self.windowFrom_);
+    }
+
     std::string name_;
     std::vector<SeriesPoint> points_;
     sim::Time windowStart_ = 0;

@@ -118,38 +118,4 @@ BufferedWorkload::onDone(sim::Time latency)
                [this] { issueOne(); });
 }
 
-void
-BufferedWorkload::saveState(sim::StateWriter &w) const
-{
-    uint64_t s[4];
-    rng_.getState(s);
-    for (uint64_t word : s)
-        w.put(word);
-    w.put(running_);
-    w.put(inFlight_);
-    w.put(completed_);
-    w.put(fsyncsDone_);
-    w.put(writesSinceFsync_);
-    w.put(seqCursor_);
-    w.put(statsStart_);
-    latency_.saveState(w);
-}
-
-void
-BufferedWorkload::loadState(sim::StateReader &r)
-{
-    uint64_t s[4];
-    for (uint64_t &word : s)
-        r.get(word);
-    rng_.setState(s);
-    r.get(running_);
-    r.get(inFlight_);
-    r.get(completed_);
-    r.get(fsyncsDone_);
-    r.get(writesSinceFsync_);
-    r.get(seqCursor_);
-    r.get(statsStart_);
-    latency_.loadState(r);
-}
-
 } // namespace iocost::workload

@@ -104,13 +104,28 @@ class BufferedWorkload : public sim::Snapshottable
      * and pending think-time hops in the event arena.
      * @{
      */
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
     /** @} */
 
   private:
     void issueOne();
     void onDone(sim::Time latency);
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.rng(self.rng_);
+        t.value(self.running_);
+        t.value(self.inFlight_);
+        t.value(self.completed_);
+        t.value(self.fsyncsDone_);
+        t.value(self.writesSinceFsync_);
+        t.value(self.seqCursor_);
+        t.value(self.statsStart_);
+        t.sub(self.latency_);
+    }
 
     sim::Simulator &sim_;
     mm::PageCache &cache_;

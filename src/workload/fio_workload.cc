@@ -167,42 +167,4 @@ FioWorkload::govern()
                               [this] { govern(); });
 }
 
-void
-FioWorkload::saveState(sim::StateWriter &w) const
-{
-    uint64_t s[4];
-    rng_.getState(s);
-    for (uint64_t word : s)
-        w.put(word);
-    w.put(running_);
-    w.put(inFlight_);
-    w.put(completed_);
-    w.put(seqCursor_);
-    w.put(statsStart_);
-    latency_.saveState(w);
-    w.put(governDepth_);
-    windowLat_.saveState(w);
-    sim_.events().saveHandle(w, governTimer_);
-    sim_.events().saveHandle(w, nextIssue_);
-}
-
-void
-FioWorkload::loadState(sim::StateReader &r)
-{
-    uint64_t s[4];
-    for (uint64_t &word : s)
-        r.get(word);
-    rng_.setState(s);
-    r.get(running_);
-    r.get(inFlight_);
-    r.get(completed_);
-    r.get(seqCursor_);
-    r.get(statsStart_);
-    latency_.loadState(r);
-    r.get(governDepth_);
-    windowLat_.loadState(r);
-    governTimer_ = sim_.events().loadHandle(r);
-    nextIssue_ = sim_.events().loadHandle(r);
-}
-
 } // namespace iocost::workload

@@ -123,8 +123,8 @@ class FioWorkload : public sim::Snapshottable
      * count lives here.
      * @{
      */
-    void saveState(sim::StateWriter &w) const override;
-    void loadState(sim::StateReader &r) override;
+    void saveState(sim::StateWriter &w) const override { walk(*this, w); }
+    void loadState(sim::StateReader &r) override { walk(*this, r); }
     /** @} */
 
   private:
@@ -132,6 +132,23 @@ class FioWorkload : public sim::Snapshottable
     void onDone(sim::Time latency);
     void scheduleNext();
     void govern();
+
+    template <typename Self, typename Tape>
+    static void
+    walk(Self &self, Tape &t)
+    {
+        t.rng(self.rng_);
+        t.value(self.running_);
+        t.value(self.inFlight_);
+        t.value(self.completed_);
+        t.value(self.seqCursor_);
+        t.value(self.statsStart_);
+        t.sub(self.latency_);
+        t.value(self.governDepth_);
+        t.sub(self.windowLat_);
+        self.sim_.events().handle(t, self.governTimer_);
+        self.sim_.events().handle(t, self.nextIssue_);
+    }
 
     sim::Simulator &sim_;
     blk::BlockLayer &layer_;

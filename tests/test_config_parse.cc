@@ -10,6 +10,7 @@
 
 #include "blk/block_layer.hh"
 #include "cgroup/cgroup_tree.hh"
+#include "controllers/factory.hh"
 #include "core/config_parse.hh"
 #include "core/iocost.hh"
 #include "device/device_profiles.hh"
@@ -90,6 +91,16 @@ TEST(ConfigParse, QosLineRejectsInvertedBounds)
 {
     EXPECT_FALSE(
         parseQosLine("min=150 max=50").has_value());
+}
+
+/** Infinite or NaN values are garbage, not unbounded settings. */
+TEST(ConfigParse, NonFiniteValuesRejected)
+{
+    EXPECT_FALSE(parseQosLine("min=inf max=inf").has_value());
+    EXPECT_FALSE(parseQosLine("rlat=nan").has_value());
+    EXPECT_FALSE(parseModelLine("rbps=inf").has_value());
+    EXPECT_FALSE(
+        controllers::parseControllerSpec("kyber rlat=inf").has_value());
 }
 
 TEST(ConfigParse, QosLineRoundTrips)

@@ -36,7 +36,7 @@ TEST(SimParse, Time)
     for (const auto &c : ok)
         EXPECT_EQ(sim::parseTime(c.text), c.want) << c.text;
     for (const char *bad : {"", "ms", "-1ms", "-5", "5parsecs", "5 ms",
-                            "5msx", "2S", "x"}) {
+                            "5msx", "2S", "x", "inf", "nan", "infs"}) {
         EXPECT_THROW(sim::parseTime(bad), std::invalid_argument) << bad;
     }
 }
@@ -54,7 +54,8 @@ TEST(SimParse, Bytes)
     };
     for (const auto &c : ok)
         EXPECT_EQ(sim::parseBytes(c.text), c.want) << c.text;
-    for (const char *bad : {"", "G", "-1K", "5X", "2Gb", "1T", "x"})
+    for (const char *bad : {"", "G", "-1K", "5X", "2Gb", "1T", "x", "inf",
+                            "nan", "infK"})
         EXPECT_THROW(sim::parseBytes(bad), std::invalid_argument) << bad;
 }
 
@@ -66,7 +67,8 @@ TEST(SimParse, Numbers)
     EXPECT_DOUBLE_EQ(sim::parseNumber("-3"), -3.0);
     for (const char *bad : {"", "abc", "-1", "+1", "1.5", "12x", " 1"})
         EXPECT_THROW(sim::parseCount(bad), std::invalid_argument) << bad;
-    for (const char *bad : {"", "abc", "1.5x", "1,5"})
+    for (const char *bad : {"", "abc", "1.5x", "1,5", "inf", "-inf", "nan",
+                            "infs"})
         EXPECT_THROW(sim::parseNumber(bad), std::invalid_argument) << bad;
 }
 
@@ -115,6 +117,10 @@ TEST(ParseJob, Errors)
         {"web:weight=0", "weight"},       // out of range
         {"web:bs=4Q", "bs"},              // bad size suffix
         {"web:rate=fast", "rate"},        //
+        {"web:rate=0", "rate"},           // not positive
+        {"web:rate=-5", "rate"},          //
+        {"web:rate=nan", "rate"},         // not finite
+        {"web:bs=0", "bs"},               // not positive
         {"web:rw=sideways", "rw"},        // bad enum
         {"web:pattern=zigzag", "pattern"}, //
         {"web:fsync=1.5", "fsync"},       //

@@ -1,7 +1,8 @@
 /**
  * @file
  * Branchable-state tests: snapshot/restore round-trip byte-identity
- * across every controller and a faulted device, branch isolation,
+ * across every device kind, controller, fault state and page-cache
+ * state, a faulted device, branch isolation,
  * and the what-if service's determinism gate (branch-from-
  * checkpoint == cold full re-run, byte for byte).
  */
@@ -21,23 +22,29 @@
 #include "sim/rng.hh"
 #include "whatif/query.hh"
 #include "whatif/service.hh"
+#include "workload/buffered_io.hh"
 #include "workload/fio_workload.hh"
 
 namespace {
 
 using namespace iocost;
 
-/** A small two-job host, deterministically assembled. */
+/**
+ * A small host, deterministically assembled: two random jobs and a
+ * sequential one, plus a buffered dirtier over a 64M page cache
+ * when @p cache is set.
+ */
 struct Rig
 {
     sim::Simulator sim;
     std::unique_ptr<host::Host> host;
     std::vector<std::unique_ptr<workload::FioWorkload>> jobs;
+    std::unique_ptr<workload::BufferedWorkload> dirtier;
 
     explicit Rig(const std::string &controller,
                  const std::string &faults = "",
                  const std::string &device = "newgen",
-                 uint64_t seed = 7)
+                 bool cache = false, uint64_t seed = 7)
         : sim(seed)
     {
         core::LinearModelConfig model;
@@ -55,21 +62,40 @@ struct Rig
         opts.controller.iocost.qos.vrateMax = 1.0;
         opts.faults = faults;
         opts.installFaultInjector = true;
+        opts.enablePageCache = cache;
+        opts.pageCacheConfig.cacheBytes = 64ull << 20;
         host = std::make_unique<host::Host>(sim, std::move(dev),
                                             opts);
-        for (int j = 0; j < 2; ++j) {
+        const char *const names[] = {"web", "batch", "seq"};
+        const uint32_t weights[] = {200, 100, 50};
+        for (int j = 0; j < 3; ++j) {
             workload::FioConfig fio;
             fio.iodepth = 16;
             fio.offsetBase = static_cast<uint64_t>(j) << 40;
             if (j == 1)
                 fio.readFraction = 0.3;
-            const auto cg = host->addWorkload(
-                j ? "batch" : "web", j ? 100u : 200u);
+            if (j == 2)
+                fio.randomFraction = 0.0;
+            const auto cg = host->addWorkload(names[j], weights[j]);
             jobs.push_back(
                 std::make_unique<workload::FioWorkload>(
                     sim, host->layer(), cg, fio));
             host->track(*jobs.back());
             jobs.back()->start();
+        }
+        if (cache) {
+            const auto cg = host->addWorkload("dirtier", 100);
+            workload::BufferedConfig dc;
+            dc.name = "dirtier";
+            dc.blockSize = 1 << 20;
+            dc.spanBytes = 256ull << 20;
+            dc.offsetBase = 3ull << 40;
+            dc.thinkTime = 20 * sim::kUsec;
+            dc.depth = 4;
+            dirtier = std::make_unique<workload::BufferedWorkload>(
+                sim, host->pageCache(), cg, dc);
+            host->track(*dirtier);
+            dirtier->start();
         }
     }
 
@@ -86,37 +112,63 @@ const char *const kControllers[] = {
     "blk-throttle", "iolatency",   "iocost",
 };
 
+/** One device model of each kind: SSD, HDD and cloud volume. */
+const char *const kDevices[] = {"newgen", "hdd", "gp3"};
+
+const char *const kFaults =
+    "lat@40ms+80ms=6,err@60ms+60ms=0.05,timeout=30ms";
+
 /**
- * snapshot -> restore -> run(T) must be byte-identical to run(T)
- * without the round-trip, for every controller. Fuzzed over the
- * round-trip instant.
+ * snapshot(t1) -> run(t2) -> restore -> run(t2) must be byte-identical
+ * to run(t2) without the snapshot, at both t2s, for every device
+ * model, controller, fault state and page-cache state. Fuzzed over
+ * t1. A field left off a tape keeps its t2 value through the
+ * restore, so the second run drifts.
  */
 TEST(SnapshotRoundTrip, EveryController)
 {
+    struct Cell
+    {
+        const char *dev;
+        const char *ctl;
+        bool faults;
+        bool cache;
+    };
+    std::vector<Cell> grid;
+    for (const char *dev : kDevices)
+        for (const char *ctl : kControllers)
+            for (const bool faults : {false, true})
+                for (const bool cache : {false, true})
+                    grid.push_back({dev, ctl, faults, cache});
+
     sim::Rng fuzz(2022);
-    for (const char *ctl : kControllers) {
-        for (int iter = 0; iter < 3; ++iter) {
-            const sim::Time t1 =
-                10 * sim::kMsec +
-                static_cast<sim::Time>(
-                    fuzz.below(90 * sim::kMsec));
-            const sim::Time t2 = t1 + 120 * sim::kMsec;
+    for (const Cell &c : grid) {
+        const sim::Time t1 =
+            10 * sim::kMsec +
+            static_cast<sim::Time>(fuzz.below(90 * sim::kMsec));
+        const sim::Time t2 = t1 + 120 * sim::kMsec;
+        const std::string faults = c.faults ? kFaults : "";
+        const std::string where = std::string(c.dev) + " " + c.ctl +
+                                  (c.faults ? " faults" : "") +
+                                  (c.cache ? " cache" : "");
 
-            Rig plain(ctl);
-            plain.sim.runUntil(t1);
-            plain.sim.runUntil(t2);
+        Rig plain(c.ctl, faults, c.dev, c.cache);
+        plain.sim.runUntil(t2);
+        const auto expected = plain.signature();
 
-            Rig tripped(ctl);
-            tripped.sim.runUntil(t1);
-            const host::HostSnapshot snap =
-                tripped.host->snapshot();
-            tripped.host->restore(snap);
-            tripped.sim.runUntil(t2);
+        Rig tripped(c.ctl, faults, c.dev, c.cache);
+        tripped.sim.runUntil(t1);
+        const host::HostSnapshot snap = tripped.host->snapshot();
+        tripped.sim.runUntil(t2);
+        EXPECT_EQ(expected, tripped.signature())
+            << where << ": a snapshot at t=" << t1
+            << " perturbed the run";
 
-            EXPECT_EQ(plain.signature(), tripped.signature())
-                << "controller " << ctl << " diverged after a "
-                << "snapshot/restore round-trip at t=" << t1;
-        }
+        tripped.host->restore(snap);
+        tripped.sim.runUntil(t2);
+        EXPECT_EQ(expected, tripped.signature())
+            << where << ": diverged after a restore from t=" << t2
+            << " back to t=" << t1;
     }
 }
 
@@ -125,8 +177,7 @@ TEST(SnapshotRoundTrip, EveryController)
  *  retries and timeouts in flight). */
 TEST(SnapshotRoundTrip, FaultedDevice)
 {
-    const std::string faults =
-        "lat@40ms+80ms=6,err@60ms+60ms=0.05,timeout=30ms";
+    const std::string faults = kFaults;
     sim::Rng fuzz(7);
     for (int iter = 0; iter < 4; ++iter) {
         const sim::Time t1 =
@@ -166,6 +217,18 @@ TEST(SnapshotRoundTrip, MultiRestore)
     const auto second = rig.signature();
 
     EXPECT_EQ(first, second);
+}
+
+/** Snapshots restore state, not structure: restoring into a host
+ *  with another set of cgroups panics with the cgroup tree's
+ *  message instead of misreading the tape. */
+TEST(SnapshotRoundTrip, StructureMismatchPanics)
+{
+    Rig cached("iocost", "", "newgen", true);
+    const host::HostSnapshot snap = cached.host->snapshot();
+    Rig plain("iocost");
+    EXPECT_DEATH(plain.host->restore(snap),
+                 "CgroupTree::loadState: node count mismatch");
 }
 
 /** A branch runs a hypothetical and leaves no trace: state after
