@@ -113,8 +113,6 @@ main(int argc, char **argv)
         "the erratic device's tails blow up\ndespite identical "
         "control — consistent devices are better for datacenters.");
 
-    // Warm the shared profiler cache before the paired pool.
-    (void)profile::DeviceProfiler::profileSsd(device::newGenSsd());
     const auto outs = host::runPaired(
         2, args.jobs,
         [&](size_t c) { return run(c == 1, args.faults); });

@@ -101,10 +101,8 @@ main(int argc, char **argv)
             configs.push_back({rate, donation});
     }
 
-    // Warm the shared profiler cache before the paired pool. Every
-    // config runs with the same seed (paired CRN), so the on/off
-    // deltas at each load level are seed-noise-free.
-    (void)profile::DeviceProfiler::profileSsd(device::newGenSsd());
+    // Every config runs with the same seed (paired CRN), so the
+    // on/off deltas at each load level are seed-noise-free.
     const auto outs = host::runPaired(
         configs.size(), args.jobs, [&](size_t c) {
             return run(configs[c].donation, configs[c].rate,

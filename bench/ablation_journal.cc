@@ -126,9 +126,8 @@ main(int argc, char **argv)
         {"none", "none", core::DebtMode::Production},
     };
 
-    // Warm the shared profiler cache, then run the four configs as
-    // paired CRN runs (same seed each) across --jobs workers.
-    (void)profile::DeviceProfiler::profileSsd(device::oldGenSsd());
+    // The four configs run as paired CRN runs (same seed each)
+    // across --jobs workers.
     const size_t n = sizeof(configs) / sizeof(configs[0]);
     const auto outs = host::runPaired(
         n, args.jobs, [&](size_t c) {

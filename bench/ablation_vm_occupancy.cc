@@ -136,9 +136,8 @@ main(int argc, char **argv)
 
     const vm::HvPolicy policies[] = {vm::HvPolicy::IopsShares,
                                      vm::HvPolicy::Occupancy};
-    // Warm the shared profiler cache, then run both policies as
-    // paired CRN runs (same seed) across --jobs workers.
-    (void)profile::DeviceProfiler::profileSsd(device::oldGenSsd());
+    // Both policies run as paired CRN runs (same seed) across
+    // --jobs workers.
     const auto outs = host::runPaired(
         2, args.jobs, [&](size_t c) { return run(policies[c]); });
 

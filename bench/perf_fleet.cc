@@ -318,10 +318,9 @@ main(int argc, char **argv)
     const unsigned hw = std::max(
         1u, std::thread::hardware_concurrency());
 
-    // Untimed warmup: profiling the device mix is a one-time cost
-    // (the engine's shared profile cache); without this it lands
-    // inside the first timed sequential run and poisons both the
-    // hd/s numbers and the speedup ratio.
+    // Untimed warmup: one-time first-use costs would otherwise land
+    // inside the first timed sequential run and poison both the hd/s
+    // numbers and the speedup ratio.
     {
         fleet::RunOptions warm;
         warm.jobs = 1;

@@ -1481,11 +1481,6 @@ main(int argc, char **argv)
 
     const unsigned hw = std::max(
         1u, std::thread::hardware_concurrency());
-    // Warm the device-profile cache so neither fleet timing pays the
-    // one-time profiling cost — otherwise whichever runs first eats
-    // it and the seq-vs-parallel ratio is fiction.
-    profile::DeviceProfiler::profileSsd(device::oldGenSsd());
-    profile::DeviceProfiler::profileSsd(device::newGenSsd());
     const double fleet_seq = fleetRate(1);
     const double fleet_j4 = fleetRate(4);
 

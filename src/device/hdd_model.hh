@@ -53,6 +53,9 @@ struct HddSpec
 
     /** Requests older than this are serviced first (anti-starve). */
     sim::Time maxWait = 60 * sim::kMsec;
+
+    /** Field by field: the profile cache keys on the whole spec. */
+    bool operator==(const HddSpec &) const = default;
 };
 
 /**

@@ -45,6 +45,9 @@ struct RemoteSpec
 
     /** Extra per-byte service time at the backend. */
     double nsPerByte = 0.5;
+
+    /** Field by field: the profile cache keys on the whole spec. */
+    bool operator==(const RemoteSpec &) const = default;
 };
 
 /**

@@ -83,6 +83,9 @@ struct SsdSpec
      */
     sim::Time hiccupMeanInterval = 0;
     sim::Time hiccupDuration = 0;
+
+    /** Field by field: the profile cache keys on the whole spec. */
+    bool operator==(const SsdSpec &) const = default;
 };
 
 /**

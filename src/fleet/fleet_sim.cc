@@ -326,16 +326,11 @@ namespace {
  * adjacent arenas). Workers steal whole shards; for every host-day of
  * a shard's hosts, @p host_day(host, day, spec, kind, acc) runs the
  * slice(s) and folds into acc[0..K). Returns the K merged aggregates.
- *
- * @param warm_profiles profile every device of the mix before the
- *        workers start (whenever some slice runs iocost), so workers
- *        do not all serialize on the profile cache's mutex; profiles
- *        are cached and deterministic, so this never changes results.
  */
 template <typename HostDay>
 std::vector<FleetAggregate>
 runShards(const FleetScenario &sc, const RunOptions &opts, size_t K,
-          bool warm_profiles, const HostDay &host_day)
+          const HostDay &host_day)
 {
     // Resolve the execution layout. None of it affects any
     // aggregated byte — only scheduling granularity.
@@ -349,11 +344,6 @@ runShards(const FleetScenario &sc, const RunOptions &opts, size_t K,
         shards = jobs * 8;
     shards = std::max(1u, std::min(shards, std::max(1u, sc.hosts)));
     jobs = std::min(jobs, shards);
-
-    if (warm_profiles) {
-        for (const FleetScenario::DeviceShare &d : sc.devices)
-            profile::DeviceProfiler::profileSsd(d.spec);
-    }
 
     // Per-shard arenas, constructed up front: the fold path inside
     // the workers performs no heap allocation.
@@ -432,10 +422,6 @@ FleetSim::runScenario(const FleetScenario &sc,
         outcomes_out->resize(static_cast<size_t>(sc.days) *
                              sc.hosts);
     }
-    bool any_migration = false;
-    for (const MigrationStage &st : sc.stages)
-        any_migration = any_migration || st.startDay < sc.days;
-
     auto host_day = [&](unsigned h, unsigned day,
                         const device::SsdSpec &spec,
                         WorkloadKind kind, ShardAccumulator *acc) {
@@ -450,8 +436,7 @@ FleetSim::runScenario(const FleetScenario &sc,
                 std::move(out);
         }
     };
-    return std::move(
-        runShards(sc, opts, 1, any_migration, host_day).front());
+    return std::move(runShards(sc, opts, 1, host_day).front());
 }
 
 SweepView
@@ -486,7 +471,6 @@ FleetSim::runScenarioSweep(const FleetScenario &sc,
     // Validate every entry before any worker runs, and cache which
     // mechanism each one is (decides the summary slot below).
     std::vector<bool> is_iocost(K);
-    bool any_iocost = false;
     for (size_t c = 0; c < K; ++c) {
         std::optional<controllers::ControllerSpec> parsed =
             controllers::parseControllerSpec(sc.sweep[c]);
@@ -495,7 +479,6 @@ FleetSim::runScenarioSweep(const FleetScenario &sc,
                 "fleet sweep: bad controller spec: " + sc.sweep[c]);
         }
         is_iocost[c] = parsed->name == "iocost";
-        any_iocost = any_iocost || is_iocost[c];
     }
 
     // A host-day here is K slices, but shard granularity stays
@@ -510,7 +493,7 @@ FleetSim::runScenarioSweep(const FleetScenario &sc,
                         runHostDay(sc, spec, kind, sc.sweep[c], seed));
         }
     };
-    return runShards(sc, opts, K, any_iocost, host_day);
+    return runShards(sc, opts, K, host_day);
 }
 
 } // namespace iocost::fleet

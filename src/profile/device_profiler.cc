@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -106,34 +106,85 @@ runDimension(const DeviceFactory &factory, uint64_t seed,
     return out;
 }
 
-std::map<std::string, ProfileResult> &
+std::string
+deviceName(const device::SsdSpec &s)
+{
+    return "ssd:" + s.name;
+}
+
+std::string
+deviceName(const device::HddSpec &s)
+{
+    return "hdd:" + s.name;
+}
+
+std::string
+deviceName(const device::RemoteSpec &s)
+{
+    return "remote:" + s.name;
+}
+
+/** A spec and its profile, from the table or profiled cold. */
+struct Cached
+{
+    DeviceSpec spec;
+    ProfileResult profile;
+};
+
+/**
+ * The parallel fleet runner and the what-if replicas profile devices
+ * from worker threads; the cache is shared process state. One lock
+ * covers lookup and profiling, so a device is profiled once and other
+ * callers wait for it. Profiling runs on its own pool, whose workers
+ * never touch the cache, so holding the lock across it cannot
+ * deadlock, and its result does not depend on which thread asked.
+ */
+std::mutex cacheMutex;
+
+/**
+ * Starts out holding the table. A deque, so references returned to
+ * callers stay valid as cold profiles are appended.
+ */
+std::deque<Cached> &
 cache()
 {
-    static std::map<std::string, ProfileResult> c;
+    static std::deque<Cached> c = [] {
+        std::deque<Cached> out;
+        for (const TableEntry &e : profileTable()) {
+            ProfileResult r;
+            r.deviceName = std::visit(
+                [](const auto &s) { return deviceName(s); }, e.spec);
+            r.model = e.model;
+            r.randReadIops = e.model.rrandiops;
+            r.seqReadIops = e.model.rseqiops;
+            r.randWriteIops = e.model.wrandiops;
+            r.seqWriteIops = e.model.wseqiops;
+            r.readLatency = e.readLatency;
+            r.writeLatency = e.writeLatency;
+            out.push_back({e.spec, std::move(r)});
+        }
+        return out;
+    }();
     return c;
 }
 
+template <typename Model, typename Spec>
 const ProfileResult &
-cachedProfile(const std::string &name, const DeviceFactory &factory)
+cachedProfile(const Spec &spec)
 {
-    // The parallel fleet runner profiles devices from worker
-    // threads; the cache is shared process state. One lock covers
-    // lookup and profiling, so a device is profiled once and other
-    // callers wait for it. Profiling runs on its own pool, whose
-    // workers never touch the cache, so holding the lock across it
-    // cannot deadlock, and its result does not depend on which
-    // thread asked (map references stay stable across later
-    // inserts, so returning a reference is safe).
-    static std::mutex mutex;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache().find(name);
-    if (it == cache().end()) {
-        it = cache()
-                 .emplace(name,
-                          DeviceProfiler::profile(name, factory))
-                 .first;
+    std::lock_guard<std::mutex> lock(cacheMutex);
+    for (const Cached &c : cache()) {
+        const Spec *s = std::get_if<Spec>(&c.spec);
+        if (s != nullptr && *s == spec)
+            return c.profile;
     }
-    return it->second;
+    return cache()
+        .emplace_back(Cached{
+            spec, DeviceProfiler::profile(
+                      deviceName(spec), [spec](sim::Simulator &sim) {
+                          return std::make_unique<Model>(sim, spec);
+                      })})
+        .profile;
 }
 
 } // namespace
@@ -176,31 +227,19 @@ DeviceProfiler::profile(const std::string &name,
 const ProfileResult &
 DeviceProfiler::profileSsd(const device::SsdSpec &s)
 {
-    device::SsdSpec spec = s;
-    return cachedProfile(
-        "ssd:" + s.name, [spec](sim::Simulator &sim) {
-            return std::make_unique<device::SsdModel>(sim, spec);
-        });
+    return cachedProfile<device::SsdModel>(s);
 }
 
 const ProfileResult &
 DeviceProfiler::profileHdd(const device::HddSpec &s)
 {
-    device::HddSpec spec = s;
-    return cachedProfile(
-        "hdd:" + s.name, [spec](sim::Simulator &sim) {
-            return std::make_unique<device::HddModel>(sim, spec);
-        });
+    return cachedProfile<device::HddModel>(s);
 }
 
 const ProfileResult &
 DeviceProfiler::profileRemote(const device::RemoteSpec &s)
 {
-    device::RemoteSpec spec = s;
-    return cachedProfile(
-        "remote:" + s.name, [spec](sim::Simulator &sim) {
-            return std::make_unique<device::RemoteModel>(sim, spec);
-        });
+    return cachedProfile<device::RemoteModel>(s);
 }
 
 } // namespace iocost::profile

@@ -19,6 +19,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "blk/block_device.hh"
 #include "core/cost_model.hh"
@@ -86,16 +88,46 @@ class DeviceProfiler
                                  uint64_t seed = 42,
                                  double run_seconds = 4.0);
 
-    /** Convenience: profile an SSD spec (cached by spec name). */
+    /** Convenience: profile an SSD spec. Named specs come from the
+     *  table; other specs are profiled once and cached by the whole
+     *  spec. */
     static const ProfileResult &profileSsd(const device::SsdSpec &s);
 
-    /** Convenience: profile an HDD spec (cached by spec name). */
+    /** Convenience: profile an HDD spec. Named specs come from the
+     *  table; other specs are profiled once and cached by the whole
+     *  spec. */
     static const ProfileResult &profileHdd(const device::HddSpec &s);
 
-    /** Convenience: profile a remote volume (cached by name). */
+    /** Convenience: profile a remote volume. Named specs come from
+     *  the table; other specs are profiled once and cached by the
+     *  whole spec. */
     static const ProfileResult &
     profileRemote(const device::RemoteSpec &s);
 };
+
+/** Any spec the profiler's convenience wrappers take. */
+using DeviceSpec =
+    std::variant<device::SsdSpec, device::HddSpec, device::RemoteSpec>;
+
+/**
+ * A named device's committed profile: what the wrappers' cold profile
+ * (seed 42, 4 s) reports for @c spec. The four 4k IOPS anchors of a
+ * ProfileResult equal the model's, so they are not stored twice.
+ */
+struct TableEntry
+{
+    DeviceSpec spec;
+    core::LinearModelConfig model;
+    sim::Time readLatency = 0;
+    sim::Time writeLatency = 0;
+};
+
+/**
+ * The profiles of the 16 devices the CLIs name, the initial content
+ * of the wrappers' cache (src/profile/profile_table.cc). A spec that
+ * differs from a named one in any field misses the table.
+ */
+const std::vector<TableEntry> &profileTable();
 
 } // namespace iocost::profile
 
