@@ -67,10 +67,10 @@ parseArgs(int argc, char **argv)
                 return argv[++i];
             };
             if (arg == "--jobs") {
-                args.jobs = static_cast<unsigned>(sim::parseCount(next()));
+                args.jobs = sim::narrow<unsigned>(sim::parseCount(next()));
             } else if (arg == "--shards") {
                 args.shards =
-                    static_cast<unsigned>(sim::parseCount(next()));
+                    sim::narrow<unsigned>(sim::parseCount(next()));
             } else if (arg == "--faults") {
                 args.faults = next();
             } else if (arg == "--max-hosts") {

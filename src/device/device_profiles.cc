@@ -1,8 +1,21 @@
 #include "device/device_profiles.hh"
 
+#include <type_traits>
+
 #include "sim/logging.hh"
 
 namespace iocost::device {
+
+std::unique_ptr<blk::BlockDevice>
+makeDevice(sim::Simulator &sim, const DeviceSpec &spec)
+{
+    return std::visit(
+        [&sim](const auto &s) -> std::unique_ptr<blk::BlockDevice> {
+            using Model = typename ModelOf<std::decay_t<decltype(s)>>::type;
+            return std::make_unique<Model>(sim, s);
+        },
+        spec);
+}
 
 SsdSpec
 oldGenSsd()

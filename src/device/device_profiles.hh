@@ -1,7 +1,7 @@
 /**
  * @file
  * The device zoo: named specs for every device the paper's
- * evaluation uses.
+ * evaluation uses, and the one spec -> model dispatch.
  *
  * Absolute parameters are plausible stand-ins for the paper's
  * unnamed hardware (see DESIGN.md substitution table); what matters
@@ -15,14 +15,31 @@
 #ifndef IOCOST_DEVICE_DEVICE_PROFILES_HH
 #define IOCOST_DEVICE_DEVICE_PROFILES_HH
 
+#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "blk/block_device.hh"
 #include "device/hdd_model.hh"
 #include "device/remote_model.hh"
 #include "device/ssd_model.hh"
+#include "sim/simulator.hh"
 
 namespace iocost::device {
+
+/** A spec of any device kind the simulator models. */
+using DeviceSpec = std::variant<SsdSpec, HddSpec, RemoteSpec>;
+
+/** The model class that runs a spec of type @p Spec. */
+template <typename Spec> struct ModelOf;
+template <> struct ModelOf<SsdSpec> { using type = SsdModel; };
+template <> struct ModelOf<HddSpec> { using type = HddModel; };
+template <> struct ModelOf<RemoteSpec> { using type = RemoteModel; };
+
+/** A fresh model of @p spec's kind, running @p spec, in @p sim. */
+std::unique_ptr<blk::BlockDevice> makeDevice(sim::Simulator &sim,
+                                             const DeviceSpec &spec);
 
 /** Older-generation commercial SSD (evaluation device 1). */
 SsdSpec oldGenSsd();

@@ -44,7 +44,7 @@ readFleetFlag(FleetFlags &flags, int argc, char **argv, int &i)
         flags.scenario = value();
     } else if (flag == "--jobs" || flag == "--shards") {
         (flag == "--jobs" ? flags.run.jobs : flags.run.shards) =
-            static_cast<unsigned>(sim::parseCount(value()));
+            sim::narrow<unsigned>(sim::parseCount(value()));
     } else {
         const auto key = std::find_if(
             std::begin(kKeys), std::end(kKeys),

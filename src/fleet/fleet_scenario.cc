@@ -4,10 +4,11 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <variant>
 
 #include "controllers/factory.hh"
 #include "device/device_profiles.hh"
-#include "host/device_factory.hh"
+#include "profile/device_profiler.hh"
 #include "sim/fault.hh"
 #include "sim/parse.hh"
 
@@ -53,13 +54,15 @@ parseShare(const std::string &text)
     return v;
 }
 
+/** The spec of a named device; fleet hosts run SSDs. */
 device::SsdSpec
 deviceByName(const std::string &name)
 {
-    if (const auto spec = host::ssdByName(name))
-        return *spec;
-    bad("unknown device \"" + name +
-        "\" (A..H, oldgen, newgen, enterprise)");
+    const auto *spec =
+        std::get_if<device::SsdSpec>(&profile::namedDevice(name).spec);
+    if (spec == nullptr)
+        bad("device \"" + name + "\" is not an SSD");
+    return *spec;
 }
 
 WorkloadKind
@@ -79,21 +82,18 @@ workloadByName(const std::string &name)
         "\" (mixed, readheavy, writeheavy, bursty, buffered)");
 }
 
-/** Device spec back to its scenario token. */
+/** Device spec back to its scenario token: the name of its table
+ *  row. */
 std::string
 deviceToken(const device::SsdSpec &spec)
 {
-    const std::string &n = spec.name;
-    if (n.rfind("fleet-ssd-", 0) == 0 && n.size() == 11)
-        return std::string(1, n[10]);
-    if (n == device::oldGenSsd().name)
-        return "oldgen";
-    if (n == device::newGenSsd().name)
-        return "newgen";
-    if (n == device::enterpriseSsd().name)
-        return "enterprise";
-    return n; // parse() will reject; canonical() of parsed specs
-              // never reaches here.
+    const device::DeviceSpec key = spec;
+    for (const profile::TableEntry &e : profile::profileTable()) {
+        if (e.spec == key)
+            return e.name;
+    }
+    return spec.name; // parse() will reject; canonical() of parsed
+                      // specs never reaches here.
 }
 
 /** Split "a,b,c" on commas (no empty entries allowed). */
@@ -179,13 +179,13 @@ applyKey(FleetScenario &sc, const std::string &key,
          const std::string &value)
 {
     if (key == "hosts") {
-        sc.hosts = static_cast<unsigned>(sim::parseCount(value));
+        sc.hosts = sim::narrow<unsigned>(sim::parseCount(value));
     } else if (key == "days") {
-        sc.days = static_cast<unsigned>(sim::parseCount(value));
+        sc.days = sim::narrow<unsigned>(sim::parseCount(value));
     } else if (key == "seed") {
         sc.seed = sim::parseCount(value);
     } else if (key == "shards") {
-        sc.shards = static_cast<unsigned>(sim::parseCount(value));
+        sc.shards = sim::narrow<unsigned>(sim::parseCount(value));
     } else if (key == "migration") {
         for (const std::string &part : splitList(value)) {
             const size_t dots = part.find("..");
@@ -193,12 +193,12 @@ applyKey(FleetScenario &sc, const std::string &key,
                 bad("expected START..END[:PCT]");
             const size_t colon = part.find(':', dots + 2);
             MigrationStage st;
-            st.startDay = static_cast<unsigned>(
+            st.startDay = sim::narrow<unsigned>(
                 sim::parseCount(part.substr(0, dots)));
             const size_t end_len =
                 (colon == std::string::npos ? part.size() : colon) -
                 (dots + 2);
-            st.endDay = static_cast<unsigned>(
+            st.endDay = sim::narrow<unsigned>(
                 sim::parseCount(part.substr(dots + 2, end_len)));
             if (st.endDay < st.startDay)
                 bad("stage end before start");
@@ -252,9 +252,9 @@ applyKey(FleetScenario &sc, const std::string &key,
     } else if (key == "fetch_deadline") {
         sc.fetchDeadline = sim::parseTime(value);
     } else if (key == "cleanup") {
-        sc.cleanupOps = static_cast<unsigned>(sim::parseCount(value));
+        sc.cleanupOps = sim::narrow<unsigned>(sim::parseCount(value));
     } else if (key == "cleanup_io") {
-        sc.cleanupIoBytes = static_cast<uint32_t>(sim::parseBytes(value));
+        sc.cleanupIoBytes = sim::narrow<uint32_t>(sim::parseBytes(value));
     } else if (key == "cleanup_deadline") {
         sc.cleanupDeadline = sim::parseTime(value);
     } else if (key == "pagecache") {

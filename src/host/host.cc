@@ -9,11 +9,11 @@ Host::Host(sim::Simulator &sim,
     : sim_(sim), device_(std::move(device))
 {
     system_ = tree_.create(cgroup::kRoot, "system.slice",
-                           opts.systemWeight);
+                           kSystemWeight);
     hostCritical_ = tree_.create(cgroup::kRoot, "hostcritical.slice",
-                                 opts.hostCriticalWeight);
+                                 kHostCriticalWeight);
     workload_ = tree_.create(cgroup::kRoot, "workload.slice",
-                             opts.workloadWeight);
+                             kWorkloadWeight);
 
     layer_ = std::make_unique<blk::BlockLayer>(sim_, *device_, tree_);
     layer_->setSubmissionCpuEnabled(opts.submissionCpu);

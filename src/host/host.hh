@@ -29,6 +29,12 @@
 
 namespace iocost::host {
 
+/** io.weight of the three top-level slices, on every Host and sweep
+ *  lane. */
+inline constexpr uint32_t kWorkloadWeight = 500;
+inline constexpr uint32_t kHostCriticalWeight = 100;
+inline constexpr uint32_t kSystemWeight = 50;
+
 /** Host assembly options. */
 struct HostOptions
 {
@@ -65,11 +71,6 @@ struct HostOptions
 
     /** Enable the submission-path CPU model (Fig. 9). */
     bool submissionCpu = false;
-
-    /** Weights for the three top-level slices. */
-    uint32_t workloadWeight = 500;
-    uint32_t hostCriticalWeight = 100;
-    uint32_t systemWeight = 50;
 
     /**
      * Device fault spec (sim::FaultPlan::parse grammar). Non-empty

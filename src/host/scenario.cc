@@ -9,6 +9,7 @@
 
 #include "core/config_parse.hh"
 #include "host/device_factory.hh"
+#include "profile/device_profiler.hh"
 #include "sim/fault.hh"
 #include "sim/parse.hh"
 
@@ -42,9 +43,9 @@ applyJobKey(JobSpec &job, const std::string &key,
             bad("weight must be in [1, 10000]");
         job.weight = static_cast<uint32_t>(w);
     } else if (key == "depth") {
-        job.fio.iodepth = static_cast<unsigned>(sim::parseCount(value));
+        job.fio.iodepth = sim::narrow<unsigned>(sim::parseCount(value));
     } else if (key == "bs") {
-        job.fio.blockSize = static_cast<uint32_t>(sim::parseBytes(value));
+        job.fio.blockSize = sim::narrow<uint32_t>(sim::parseBytes(value));
         if (job.fio.blockSize == 0)
             bad("must be positive");
     } else if (key == "rw") {
@@ -71,7 +72,7 @@ applyJobKey(JobSpec &job, const std::string &key,
     } else if (key == "buffered") {
         job.buffered = sim::parseCount(value) != 0;
     } else if (key == "fsync") {
-        job.fsyncEvery = static_cast<uint32_t>(sim::parseCount(value));
+        job.fsyncEvery = sim::narrow<uint32_t>(sim::parseCount(value));
     } else if (key == "span") {
         job.spanBytes = sim::parseBytes(value);
     } else {
@@ -85,6 +86,7 @@ applyScenarioKey(ScenarioSpec &sc, const std::string &key,
                  const std::string &value)
 {
     if (key == "device") {
+        (void)profile::namedDevice(value);
         sc.device = value;
     } else if (key == "controller") {
         if (!controllers::parseControllerSpec(value))
@@ -238,6 +240,8 @@ ScenarioSpec::normalize()
 {
     if (seconds <= 0.0)
         bad("scenario: seconds must be > 0");
+    if (!(seconds * static_cast<double>(sim::kSec) < 0x1p63))
+        bad("scenario: seconds out of range");
     if (jobs.empty()) {
         jobs.push_back("web:weight=200:depth=32");
         jobs.push_back("batch:weight=100:depth=32");
@@ -453,15 +457,8 @@ scenarioSweep(const ScenarioSpec &sc, std::vector<std::string> specs,
                 "shadow-lane engine has no page cache)");
         }
     }
-    // Profile once up front: tweakSpec runs while lanes are built,
-    // before any device exists (and every worker then finds the
-    // profile cache warm).
-    core::LinearModelConfig profile;
-    {
-        sim::Simulator probe(sc.seed);
-        (void)makeNamedDevice(sc.device, probe, &profile);
-    }
-    const core::LinearModelConfig model = scenarioModel(sc, profile);
+    const core::LinearModelConfig model =
+        scenarioModel(sc, profile::namedDevice(sc.device).model);
     if (model_out)
         *model_out = model;
 

@@ -12,8 +12,9 @@
  * Spec grammar (ScenarioSpec::parse): ';'- or newline-separated
  * key=value pairs —
  *
- *   device=newgen          any host::makeNamedDevice name
- *                          (CLI: --device)
+ *   device=newgen          a row of the profile table
+ *                          (profile::namedDevice); an unknown name
+ *                          fails when read (CLI: --device)
  *   controller=iocost min=25 max=150
  *                          a controllers::parseControllerSpec line
  *                          (CLI: --controller)

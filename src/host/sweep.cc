@@ -82,31 +82,19 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
         throw std::invalid_argument("sweep: empty config list");
     if (!opts_.makeDevice)
         throw std::invalid_argument("sweep: no device factory");
-    if (!opts_.laneSinks.empty() &&
-        opts_.laneSinks.size() != opts_.specs.size()) {
-        throw std::invalid_argument(
-            "sweep: laneSinks must be empty or one per spec");
-    }
 
     plain_ = opts_.specs.size() == 1 && !opts_.forceShadow;
 
     HostOptions ho;
-    ho.telemetryDetail = opts_.telemetryDetail;
     ho.submissionCpu = opts_.submissionCpu;
-    ho.workloadWeight = opts_.workloadWeight;
-    ho.hostCriticalWeight = opts_.hostCriticalWeight;
-    ho.systemWeight = opts_.systemWeight;
     ho.faults = opts_.faults;
-    ho.faultSeedMix = opts_.faultSeedMix;
+    ho.telemetrySink = opts_.generatorSink;
 
     if (plain_) {
         // Degenerate K = 1 sweep: exactly the plain single-config
         // stack — same controller, merging on, no log, no tap — so
         // its output is byte-identical to a hand-built Host.
         ho.controller = parseSpecOrThrow(opts_, opts_.specs[0]);
-        ho.telemetrySink = !opts_.laneSinks.empty()
-                               ? opts_.laneSinks[0]
-                               : opts_.generatorSink;
         generator_ = std::make_unique<Host>(
             sim_, opts_.makeDevice(sim_), std::move(ho));
         return;
@@ -120,7 +108,6 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
         specs.push_back(parseSpecOrThrow(opts_, line));
 
     ho.controller = "none";
-    ho.telemetrySink = opts_.generatorSink;
     generator_ = std::make_unique<Host>(sim_, opts_.makeDevice(sim_),
                                         std::move(ho));
     generator_->device().setServiceLog(&log_);
@@ -133,8 +120,7 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
         lanes_.emplace_back(
             sim_, log_, generator_->device().queueDepth(),
             generator_->device().modelName() + "+lane" +
-                std::to_string(k),
-            opts_);
+                std::to_string(k));
         Lane &lane = lanes_.back();
         lane.specLine = opts_.specs[k];
         if (spec.name == "iocost") {
@@ -146,10 +132,6 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
         // The lanes share the stream's error-handling policy (it is
         // part of the fault spec, not of any controller config).
         lane.layer.setRetryPolicy(generator_->layer().retryPolicy());
-        if (!opts_.laneSinks.empty() &&
-            opts_.laneSinks[k] != nullptr)
-            lane.layer.setTelemetrySink(opts_.laneSinks[k]);
-        lane.layer.telemetry().setDetail(opts_.telemetryDetail);
         lane.layer.setController(controllers::makeController(spec));
         lane.iocost =
             dynamic_cast<core::IoCost *>(lane.layer.controller());
@@ -199,13 +181,12 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
     }
 
     // Fused K-wide fast path, when the byte-identity preconditions
-    // hold: at most 64 lanes (the record bitmask), no per-completion
-    // detail telemetry (fused completions skip per-lane emission),
-    // and at least one iocost lane (other mechanisms always run the
-    // full path). Lanes that never fuse are simply cloned to by the
-    // observer, same as the non-observer loop.
-    if (opts_.fusedObserver && !opts_.telemetryDetail &&
-        lanes_.size() <= 64) {
+    // hold: at most 64 lanes (the record bitmask) and at least one
+    // iocost lane (other mechanisms always run the full path). Lanes
+    // publish no telemetry, so fused completions, which skip
+    // per-lane emission, lose none. Lanes that never fuse are simply
+    // cloned to by the observer, same as the non-observer loop.
+    if (opts_.fusedObserver && lanes_.size() <= 64) {
         bool any_iocost = false;
         for (Lane &lane : lanes_)
             any_iocost = any_iocost || lane.iocost != nullptr;

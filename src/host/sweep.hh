@@ -84,25 +84,13 @@ struct SweepOptions
 
     /** Fault spec shared by the stream (FaultPlan::parse grammar). */
     std::string faults;
-    uint64_t faultSeedMix = 0;
-
-    /** Weights for the three top-level slices (mirrors HostOptions). */
-    uint32_t workloadWeight = 500;
-    uint32_t hostCriticalWeight = 100;
-    uint32_t systemWeight = 50;
 
     /** Submission-path CPU model on the workload-facing layer. */
     bool submissionCpu = false;
 
-    /** Telemetry sink for the generator stack (shadow mode only). */
+    /** Telemetry sink for the generator stack; in plain K = 1 mode,
+     *  for the single host. Lanes publish no records. */
     stat::TelemetrySink *generatorSink = nullptr;
-    /**
-     * Per-lane telemetry sinks: empty, or exactly one per spec
-     * (nullptr entries leave that lane silent). In plain K = 1 mode
-     * laneSinks[0] lands on the single host's layer.
-     */
-    std::vector<stat::TelemetrySink *> laneSinks;
-    bool telemetryDetail = false;
 
     /** Ignored: the ServiceLog holds only live ids and sizes itself.
      *  Kept so existing callers compile. */
@@ -131,8 +119,8 @@ struct SweepOptions
      * (one K-wide charge loop, bio-less in-flight tracking,
      * fork-on-divergence). Results are byte-identical either way —
      * this exists so benches and tests can compare against the
-     * full-lane path. Ignored (off) when lanes exceed 64, detail
-     * telemetry is on, or no lane runs iocost.
+     * full-lane path. Ignored (off) when lanes exceed 64 or no lane
+     * runs iocost.
      */
     bool fusedObserver = true;
 };
@@ -205,7 +193,7 @@ class SweepRunner
     void resetStats();
 
     /** The fused fast-path observer, or nullptr when disabled
-     *  (plain mode, detail telemetry, no iocost lanes, opt-out). */
+     *  (plain mode, over 64 lanes, no iocost lanes, opt-out). */
     const FusedObserver *
     fusedObserver() const
     {
@@ -237,17 +225,16 @@ class SweepRunner
         cgroup::CgroupId workload;
 
         Lane(sim::Simulator &sim, const blk::ServiceLog &log,
-             uint32_t depth, std::string name,
-             const SweepOptions &opts)
+             uint32_t depth, std::string name)
             : device(sim, log, depth, std::move(name)),
               layer(sim, device, tree),
               system(tree.create(cgroup::kRoot, "system.slice",
-                                 opts.systemWeight)),
+                                 kSystemWeight)),
               hostCritical(tree.create(cgroup::kRoot,
                                        "hostcritical.slice",
-                                       opts.hostCriticalWeight)),
+                                       kHostCriticalWeight)),
               workload(tree.create(cgroup::kRoot, "workload.slice",
-                                   opts.workloadWeight))
+                                   kWorkloadWeight))
         {}
     };
 
@@ -403,12 +390,6 @@ runSweep(const SweepOptions &base, uint64_t seed, unsigned jobs,
                               static_cast<std::ptrdiff_t>(lo),
                           base.specs.begin() +
                               static_cast<std::ptrdiff_t>(hi));
-        if (!base.laneSinks.empty()) {
-            opts.laneSinks.assign(base.laneSinks.begin() +
-                                      static_cast<std::ptrdiff_t>(lo),
-                                  base.laneSinks.begin() +
-                                      static_cast<std::ptrdiff_t>(hi));
-        }
         // Singleton groups of a multi-config sweep keep shadow
         // semantics: partitioning must not change results.
         opts.forceShadow = base.forceShadow || total > 1;

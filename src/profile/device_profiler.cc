@@ -127,7 +127,7 @@ deviceName(const device::RemoteSpec &s)
 /** A spec and its profile, from the table or profiled cold. */
 struct Cached
 {
-    DeviceSpec spec;
+    device::DeviceSpec spec;
     ProfileResult profile;
 };
 
@@ -141,6 +141,13 @@ struct Cached
  */
 std::mutex cacheMutex;
 
+std::string
+deviceName(const device::DeviceSpec &spec)
+{
+    return std::visit([](const auto &s) { return deviceName(s); },
+                      spec);
+}
+
 /**
  * Starts out holding the table. A deque, so references returned to
  * callers stay valid as cold profiles are appended.
@@ -152,8 +159,7 @@ cache()
         std::deque<Cached> out;
         for (const TableEntry &e : profileTable()) {
             ProfileResult r;
-            r.deviceName = std::visit(
-                [](const auto &s) { return deviceName(s); }, e.spec);
+            r.deviceName = deviceName(e.spec);
             r.model = e.model;
             r.randReadIops = e.model.rrandiops;
             r.seqReadIops = e.model.rseqiops;
@@ -168,21 +174,19 @@ cache()
     return c;
 }
 
-template <typename Model, typename Spec>
 const ProfileResult &
-cachedProfile(const Spec &spec)
+cachedProfile(const device::DeviceSpec &spec)
 {
     std::lock_guard<std::mutex> lock(cacheMutex);
     for (const Cached &c : cache()) {
-        const Spec *s = std::get_if<Spec>(&c.spec);
-        if (s != nullptr && *s == spec)
+        if (c.spec == spec)
             return c.profile;
     }
     return cache()
         .emplace_back(Cached{
             spec, DeviceProfiler::profile(
-                      deviceName(spec), [spec](sim::Simulator &sim) {
-                          return std::make_unique<Model>(sim, spec);
+                      deviceName(spec), [&spec](sim::Simulator &sim) {
+                          return device::makeDevice(sim, spec);
                       })})
         .profile;
 }
@@ -227,19 +231,19 @@ DeviceProfiler::profile(const std::string &name,
 const ProfileResult &
 DeviceProfiler::profileSsd(const device::SsdSpec &s)
 {
-    return cachedProfile<device::SsdModel>(s);
+    return cachedProfile(s);
 }
 
 const ProfileResult &
 DeviceProfiler::profileHdd(const device::HddSpec &s)
 {
-    return cachedProfile<device::HddModel>(s);
+    return cachedProfile(s);
 }
 
 const ProfileResult &
 DeviceProfiler::profileRemote(const device::RemoteSpec &s)
 {
-    return cachedProfile<device::RemoteModel>(s);
+    return cachedProfile(s);
 }
 
 } // namespace iocost::profile

@@ -19,14 +19,11 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "blk/block_device.hh"
 #include "core/cost_model.hh"
-#include "device/hdd_model.hh"
-#include "device/remote_model.hh"
-#include "device/ssd_model.hh"
+#include "device/device_profiles.hh"
 #include "sim/simulator.hh"
 
 namespace iocost::profile {
@@ -105,29 +102,35 @@ class DeviceProfiler
     profileRemote(const device::RemoteSpec &s);
 };
 
-/** Any spec the profiler's convenience wrappers take. */
-using DeviceSpec =
-    std::variant<device::SsdSpec, device::HddSpec, device::RemoteSpec>;
-
 /**
- * A named device's committed profile: what the wrappers' cold profile
- * (seed 42, 4 s) reports for @c spec. The four 4k IOPS anchors of a
- * ProfileResult equal the model's, so they are not stored twice.
+ * One named device: the name the CLIs, scenarios, fleet mixes and
+ * what-if queries use, its spec, and its committed profile, which is
+ * what the wrappers' cold profile (seed 42, 4 s) reports for
+ * @c spec. The four 4k IOPS anchors of a ProfileResult equal the
+ * model's, so they are not stored twice.
  */
 struct TableEntry
 {
-    DeviceSpec spec;
+    std::string name;
+    device::DeviceSpec spec;
     core::LinearModelConfig model;
     sim::Time readLatency = 0;
     sim::Time writeLatency = 0;
 };
 
 /**
- * The profiles of the 16 devices the CLIs name, the initial content
- * of the wrappers' cache (src/profile/profile_table.cc). A spec that
- * differs from a named one in any field misses the table.
+ * The 16 named devices (src/profile/profile_table.cc): the one device
+ * vocabulary, and the initial content of the wrappers' cache. A spec
+ * that differs from a named one in any field misses the table.
  */
 const std::vector<TableEntry> &profileTable();
+
+/**
+ * The table row named @p name.
+ * @throws std::invalid_argument `unknown device "X" (...)`, listing
+ *         every name in table order, on any other name.
+ */
+const TableEntry &namedDevice(const std::string &name);
 
 } // namespace iocost::profile
 

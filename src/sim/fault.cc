@@ -48,6 +48,8 @@ parseWindow(FaultKind kind, const std::string &rest)
     w.duration = parseTime(rest.substr(plus + 1, dur_end));
     if (w.duration <= 0)
         bad("window duration must be positive");
+    if (w.duration > kTimeNever - w.start)
+        bad("window ends out of range");
 
     const bool wants_param =
         kind == FaultKind::LatencyMult || kind == FaultKind::ErrorRate;
@@ -95,8 +97,8 @@ applyToken(FaultPlan &plan, const std::string &token)
     const std::string value = token.substr(eq + 1);
     if (key == "seed") {
         const double n = parseNumber(value);
-        if (n < 0.0)
-            bad("seed must be non-negative");
+        if (n < 0.0 || !(n < 0x1p64))
+            bad("seed must be in [0, 2^64)");
         plan.seed = static_cast<uint64_t>(n);
     } else if (key == "retries") {
         const double n = parseNumber(value);

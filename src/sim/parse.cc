@@ -87,7 +87,10 @@ parseTime(const std::string &text)
         scale = static_cast<double>(kSec);
     else
         bad("unknown time unit \"" + unit + "\"");
-    return static_cast<Time>(value * scale);
+    const double ns = value * scale;
+    if (!(ns < 0x1p63))
+        bad("duration out of range \"" + text + "\"");
+    return static_cast<Time>(ns);
 }
 
 uint64_t
@@ -104,7 +107,10 @@ parseBytes(const std::string &text)
         scale = 1024.0 * 1024.0 * 1024.0;
     else if (!unit.empty())
         bad("unknown size suffix \"" + unit + "\"");
-    return static_cast<uint64_t>(value * scale);
+    const double bytes = value * scale;
+    if (!(bytes < 0x1p64))
+        bad("size out of range \"" + text + "\"");
+    return static_cast<uint64_t>(bytes);
 }
 
 std::string

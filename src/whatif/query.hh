@@ -10,7 +10,8 @@
  *   {"q":"weight","cg":"web","value":300,"from":"1s"}
  *       re-weight the named workload cgroup from sim time `from`
  *   {"q":"device","profile":"G","from":"2s"}
- *       swap the device to the named profile (same kind only; see
+ *       swap the device's spec to a profile table row's (a name
+ *       profile::namedDevice knows, of the live device's kind; see
  *       host::applyDeviceProfile)
  *   {"q":"fault","spec":"lat@2s+1s=6","from":"1500ms"}
  *       add fault windows (sim::FaultPlan window grammar) — the

@@ -6,8 +6,8 @@
  * values below were printed with %.17g by the sequential profiler.
  * Also covers the profile cache under concurrent first use, its
  * whole-spec key, exception propagation out of the dimension pool,
- * and the committed table of named-device profiles, one test per
- * name the CLIs accept.
+ * the device vocabulary, and the committed table of named-device
+ * profiles, one test per row.
  */
 
 #include <gtest/gtest.h>
@@ -24,11 +24,20 @@
 #include <vector>
 
 #include "device/device_profiles.hh"
-#include "device/hdd_model.hh"
-#include "device/remote_model.hh"
 #include "device/ssd_model.hh"
-#include "host/device_factory.hh"
 #include "profile/device_profiler.hh"
+
+namespace iocost::profile {
+
+/** A table row prints as its name, which ctest shows after each
+ *  table test's name ("... # GetParam() = G"). */
+void
+PrintTo(const TableEntry &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
+} // namespace iocost::profile
 
 namespace {
 
@@ -122,140 +131,92 @@ TEST(DeviceProfiler, FactoryExceptionIsRethrown)
     }
 }
 
-/** A device name the CLIs accept and the zoo call behind it. */
-struct NamedDevice
-{
-    const char *name;
-    const char *zoo;
-};
-
-const NamedDevice kNamedDevices[] = {
-    {"oldgen", "device::oldGenSsd()"},
-    {"newgen", "device::newGenSsd()"},
-    {"enterprise", "device::enterpriseSsd()"},
-    {"A", "device::fleetSsd('A')"},
-    {"B", "device::fleetSsd('B')"},
-    {"C", "device::fleetSsd('C')"},
-    {"D", "device::fleetSsd('D')"},
-    {"E", "device::fleetSsd('E')"},
-    {"F", "device::fleetSsd('F')"},
-    {"G", "device::fleetSsd('G')"},
-    {"H", "device::fleetSsd('H')"},
-    {"hdd", "device::nearlineHdd()"},
-    {"gp3", "device::awsGp3()"},
-    {"io2", "device::awsIo2()"},
-    {"pd-balanced", "device::gcpBalanced()"},
-    {"pd-ssd", "device::gcpSsd()"},
-};
-
-void
-PrintTo(const NamedDevice &d, std::ostream *os)
-{
-    *os << d.name;
-}
-
-/**
- * A named device as the CLIs build it (host::makeNamedDevice): its
- * spec, the name its wrapper reports and the wrapper's profile.
- */
-struct Resolved
-{
-    profile::DeviceSpec spec;
-    std::string deviceName;
-    const ProfileResult *served;
-};
-
-Resolved
-resolve(const std::string &name)
-{
-    sim::Simulator sim(1);
-    const std::unique_ptr<blk::BlockDevice> dev =
-        host::makeNamedDevice(name, sim);
-    if (const auto *ssd = dynamic_cast<device::SsdModel *>(dev.get())) {
-        const device::SsdSpec &s = ssd->spec();
-        return {s, "ssd:" + s.name, &DeviceProfiler::profileSsd(s)};
-    }
-    if (const auto *hdd = dynamic_cast<device::HddModel *>(dev.get())) {
-        const device::HddSpec &s = hdd->spec();
-        return {s, "hdd:" + s.name, &DeviceProfiler::profileHdd(s)};
-    }
-    const device::RemoteSpec &s =
-        dynamic_cast<device::RemoteModel &>(*dev).spec();
-    return {s, "remote:" + s.name, &DeviceProfiler::profileRemote(s)};
-}
-
 bool
 sameBits(double a, double b)
 {
     return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
 }
 
+/** Whether @p r is what @p row commits, bit for bit. */
 bool
-sameProfile(const ProfileResult &a, const ProfileResult &b)
+matchesRow(const profile::TableEntry &row, const ProfileResult &r)
 {
-    return a.deviceName == b.deviceName &&
-           sameBits(a.model.rbps, b.model.rbps) &&
-           sameBits(a.model.rseqiops, b.model.rseqiops) &&
-           sameBits(a.model.rrandiops, b.model.rrandiops) &&
-           sameBits(a.model.wbps, b.model.wbps) &&
-           sameBits(a.model.wseqiops, b.model.wseqiops) &&
-           sameBits(a.model.wrandiops, b.model.wrandiops) &&
-           sameBits(a.randReadIops, b.randReadIops) &&
-           sameBits(a.seqReadIops, b.seqReadIops) &&
-           sameBits(a.randWriteIops, b.randWriteIops) &&
-           sameBits(a.seqWriteIops, b.seqWriteIops) &&
-           a.readLatency == b.readLatency &&
-           a.writeLatency == b.writeLatency;
+    const core::LinearModelConfig &m = row.model;
+    return sameBits(m.rbps, r.model.rbps) &&
+           sameBits(m.rseqiops, r.model.rseqiops) &&
+           sameBits(m.rrandiops, r.model.rrandiops) &&
+           sameBits(m.wbps, r.model.wbps) &&
+           sameBits(m.wseqiops, r.model.wseqiops) &&
+           sameBits(m.wrandiops, r.model.wrandiops) &&
+           sameBits(m.rrandiops, r.randReadIops) &&
+           sameBits(m.rseqiops, r.seqReadIops) &&
+           sameBits(m.wrandiops, r.randWriteIops) &&
+           sameBits(m.wseqiops, r.seqWriteIops) &&
+           row.readLatency == r.readLatency &&
+           row.writeLatency == r.writeLatency;
 }
 
-/** @p r as a src/profile/profile_table.cc line. */
+/** @p r as the numbers of a src/profile/profile_table.cc row. */
 std::string
-tableLine(const char *zoo, const ProfileResult &r)
+rowNumbers(const ProfileResult &r)
 {
     char buf[256];
     std::snprintf(buf, sizeof buf,
-                  "        {%s,\n"
                   "         {%a, %a, %a,\n"
                   "          %a, %a, %a},\n"
                   "         %" PRId64 ", %" PRId64 "},\n",
-                  zoo, r.model.rbps, r.model.rseqiops,
-                  r.model.rrandiops, r.model.wbps, r.model.wseqiops,
-                  r.model.wrandiops, r.readLatency, r.writeLatency);
+                  r.model.rbps, r.model.rseqiops, r.model.rrandiops,
+                  r.model.wbps, r.model.wseqiops, r.model.wrandiops,
+                  r.readLatency, r.writeLatency);
     return buf;
 }
 
-class DeviceProfilerTable : public ::testing::TestWithParam<NamedDevice>
+TEST(NamedDevices, Vocabulary)
+{
+    const std::vector<profile::TableEntry> &table =
+        profile::profileTable();
+    std::vector<std::string> names;
+    for (const profile::TableEntry &e : table)
+        names.push_back(e.name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "oldgen", "newgen", "enterprise", "A", "B", "C",
+                         "D", "E", "F", "G", "H", "hdd", "gp3", "io2",
+                         "pd-balanced", "pd-ssd"}));
+    // Names and specs are unique, so a name finds one row and a spec
+    // maps back to one name (the fleet's canonical() relies on it).
+    for (size_t i = 0; i < table.size(); ++i) {
+        EXPECT_EQ(&profile::namedDevice(table[i].name), &table[i]);
+        for (size_t j = i + 1; j < table.size(); ++j) {
+            EXPECT_NE(table[i].name, table[j].name);
+            EXPECT_FALSE(table[i].spec == table[j].spec)
+                << table[i].name << " and " << table[j].name;
+        }
+    }
+}
+
+class DeviceProfilerTable
+    : public ::testing::TestWithParam<profile::TableEntry>
 {
 };
 
 TEST_P(DeviceProfilerTable, EntryEqualsColdProfile)
 {
-    const std::string name = GetParam().name;
-    const Resolved r = resolve(name);
+    const profile::TableEntry &row = GetParam();
     const ProfileResult cold = DeviceProfiler::profile(
-        r.deviceName, [&name](sim::Simulator &sim) {
-            return host::makeNamedDevice(name, sim);
+        row.name, [&row](sim::Simulator &sim) {
+            return device::makeDevice(sim, row.spec);
         });
-    const std::string line = tableLine(GetParam().zoo, cold);
-
-    const std::vector<profile::TableEntry> &table =
-        profile::profileTable();
-    ASSERT_TRUE(std::any_of(table.begin(), table.end(),
-                            [&r](const profile::TableEntry &e) {
-                                return e.spec == r.spec;
-                            }))
-        << "no table entry for " << name
-        << "; add to src/profile/profile_table.cc:\n"
-        << line;
-    EXPECT_TRUE(sameProfile(*r.served, cold))
-        << "stale table entry for " << name
-        << "; replace it in src/profile/profile_table.cc with:\n"
-        << line;
+    EXPECT_TRUE(matchesRow(row, cold))
+        << "stale table row \"" << row.name
+        << "\"; replace its numbers in src/profile/profile_table.cc "
+           "with:\n"
+        << rowNumbers(cold);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Named, DeviceProfilerTable, ::testing::ValuesIn(kNamedDevices),
-    [](const ::testing::TestParamInfo<NamedDevice> &info) {
+    Named, DeviceProfilerTable,
+    ::testing::ValuesIn(profile::profileTable()),
+    [](const ::testing::TestParamInfo<profile::TableEntry> &info) {
         std::string id = info.param.name;
         std::replace(id.begin(), id.end(), '-', '_');
         return id;

@@ -85,6 +85,10 @@ TEST(FaultPlanParse, MalformedSpecsThrow)
         "seed=",            // empty value
         "knob=1",           // unknown key
         ",,lat@1s+1s=2",    // empty leading token
+        // Out of range, not wrapped by an undefined cast:
+        "lat@99999999999999999999s+1s=4", // start past 2^63 ns
+        "lat@5000000000s+5000000000s=4",  // end past 2^63 ns
+        "seed=1e30",                      // past 2^64
     };
     for (const char *spec : bad) {
         EXPECT_THROW((void)FaultPlan::parse(spec),

@@ -127,6 +127,41 @@ TEST(FleetScenario, RejectsMalformedSpecs)
     // Fault plans validate eagerly at parse time, not in a worker.
     EXPECT_THROW(FleetScenario::parse("faults=err@oops"),
                  std::invalid_argument);
+    // Values past their field's range, not wrapped: hosts=2^32 + 1
+    // used to run one host, and the slice wrapped to a negative time.
+    for (const char *spec :
+         {"hosts=4294967297", "days=4294967296", "shards=4294967296",
+          "migration=0..4294967296", "cleanup=4294967296",
+          "cleanup_io=4G", "slice=9999999999999999999910ms",
+          "fetch=99999999999G"}) {
+        EXPECT_THROW(FleetScenario::parse(spec), std::invalid_argument)
+            << spec;
+    }
+}
+
+TEST(FleetScenario, DevicesMustBeNamedSsds)
+{
+    const struct
+    {
+        const char *spec;
+        const char *error;
+    } cases[] = {
+        {"devices=hdd", "device \"hdd\" is not an SSD"},
+        {"devices=gp3", "device \"gp3\" is not an SSD"},
+        {"devices=Z",
+         "unknown device \"Z\" (oldgen, newgen, enterprise, A, B, C, "
+         "D, E, F, G, H, hdd, gp3, io2, pd-balanced, pd-ssd)"},
+    };
+    for (const auto &c : cases) {
+        try {
+            (void)FleetScenario::parse(c.spec);
+            ADD_FAILURE() << "accepted " << c.spec;
+        } catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find(c.error),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(FleetScenario, MixSeedsCollisionFreeWhereLegacyCollides)

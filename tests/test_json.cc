@@ -21,6 +21,7 @@
 
 #include "fleet/fleet_aggregate.hh"
 #include "host/scenario.hh"
+#include "mutation.hh"
 #include "sim/json.hh"
 #include "sim/parse.hh"
 #include "sim/rng.hh"
@@ -99,68 +100,27 @@ corpus()
     return docs;
 }
 
-/** Run @p fn; an std::invalid_argument is a clean rejection, and any
- *  other exception fails the test. @return whether it accepted. */
-bool
-accepts(const std::function<void()> &fn, const std::string &input)
-{
-    try {
-        fn();
-        return true;
-    } catch (const std::invalid_argument &) {
-        return false;
-    } catch (const std::exception &err) {
-        ADD_FAILURE() << "threw " << err.what() << " on: " << input;
-        return false;
-    }
-}
-
-/** One to four byte flips, truncations or insertions of @p doc. */
-std::string
-mutate(std::string doc, sim::Rng &rng)
-{
-    static const char *const kTokens[] = {
-        "{",  "}",   "[",     "]",       "\"",   "\\",  "\\u",
-        ",",  ":",   "-",     "0",       "1e",   ".",   "null",
-        "\n", "\x01", "\xff", "\\ud800", "true", "[[[[", "\"\":",
-    };
-    const uint64_t n = 1 + rng.below(4);
-    for (uint64_t m = 0; m < n; ++m) {
-        const size_t at = rng.below(doc.size() + 1);
-        switch (rng.below(4)) {
-          case 0:
-            if (at < doc.size())
-                doc[at] = static_cast<char>(
-                    doc[at] ^ (1u << rng.below(8)));
-            break;
-          case 1:
-            if (at < doc.size())
-                doc[at] = static_cast<char>(rng.below(256));
-            break;
-          case 2:
-            doc.resize(at);
-            break;
-          default:
-            doc.insert(at, kTokens[rng.below(std::size(kTokens))]);
-        }
-    }
-    return doc;
-}
+/** Insertions that reach the reader's structural paths. */
+const char *const kJsonTokens[] = {
+    "{",  "}",   "[",     "]",       "\"",   "\\",  "\\u",
+    ",",  ":",   "-",     "0",       "1e",   ".",   "null",
+    "\n", "\x01", "\xff", "\\ud800", "true", "[[[[", "\"\":",
+};
 
 TEST(Json, MutantsParseOrThrowCleanly)
 {
     sim::Rng rng(0x150C0573u);
     uint64_t parsed = 0, rejected = 0;
     for (const std::string &doc : corpus()) {
-        ASSERT_TRUE(accepts([&] { json::parse(doc); }, doc));
+        ASSERT_TRUE(test::accepts([&] { json::parse(doc); }, doc));
         for (int i = 0; i < 3000; ++i) {
-            const std::string m = mutate(doc, rng);
-            if (accepts([&] { json::parse(m); }, m))
+            const std::string m = test::mutate(doc, rng, kJsonTokens);
+            if (test::accepts([&] { json::parse(m); }, m))
                 ++parsed;
             else
                 ++rejected;
-            accepts([&] { whatif::Query::parse(m); }, m);
-            accepts([&] { fleet::readViewJson(m); }, m);
+            test::accepts([&] { whatif::Query::parse(m); }, m);
+            test::accepts([&] { fleet::readViewJson(m); }, m);
         }
     }
     // Both outcomes must be common, or the mutations are not

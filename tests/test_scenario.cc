@@ -32,11 +32,15 @@ TEST(SimParse, Time)
         {"2s", 2 * sim::kSec},       {"1.5s", 1500 * sim::kMsec},
         {"500us", 500 * sim::kUsec}, {"7ns", 7},
         {"0", 0},                    {"1e3", sim::kSec},
+        {"9223372036s", 9223372036 * sim::kSec},
     };
     for (const auto &c : ok)
         EXPECT_EQ(sim::parseTime(c.text), c.want) << c.text;
+    // The last three do not fit in sim::Time.
     for (const char *bad : {"", "ms", "-1ms", "-5", "5parsecs", "5 ms",
-                            "5msx", "2S", "x", "inf", "nan", "infs"}) {
+                            "5msx", "2S", "x", "inf", "nan", "infs",
+                            "9999999999999999999910ms",
+                            "9223372036854775808ns", "1e300s"}) {
         EXPECT_THROW(sim::parseTime(bad), std::invalid_argument) << bad;
     }
 }
@@ -51,11 +55,14 @@ TEST(SimParse, Bytes)
         {"100", 100},          {"2K", 2048},          {"2k", 2048},
         {"3M", 3ull << 20},    {"2G", 2ull << 30},    {"0", 0},
         {"1.5G", static_cast<uint64_t>(1.5 * (1ull << 30))},
+        {"17179869183G", 17179869183ull << 30},
     };
     for (const auto &c : ok)
         EXPECT_EQ(sim::parseBytes(c.text), c.want) << c.text;
+    // The last three do not fit in 64 bits.
     for (const char *bad : {"", "G", "-1K", "5X", "2Gb", "1T", "x", "inf",
-                            "nan", "infK"})
+                            "nan", "infK", "99999999999G", "17179869184G",
+                            "1e20"})
         EXPECT_THROW(sim::parseBytes(bad), std::invalid_argument) << bad;
 }
 
@@ -70,6 +77,21 @@ TEST(SimParse, Numbers)
     for (const char *bad : {"", "abc", "1.5x", "1,5", "inf", "-inf", "nan",
                             "infs"})
         EXPECT_THROW(sim::parseNumber(bad), std::invalid_argument) << bad;
+}
+
+/** A count narrows to its field's type only when it fits; it is
+ *  never wrapped. */
+TEST(SimParse, Narrow)
+{
+    EXPECT_EQ(sim::narrow<unsigned>(4294967295u), 4294967295u);
+    EXPECT_EQ(sim::narrow<uint64_t>(UINT64_MAX), UINT64_MAX);
+    try {
+        (void)sim::narrow<unsigned>(4294967297u);
+        ADD_FAILURE() << "narrowed 2^32 + 1";
+    } catch (const std::invalid_argument &err) {
+        EXPECT_STREQ(err.what(),
+                     "4294967297 is out of range (max 4294967295)");
+    }
 }
 
 /** Every job key lands in its field. */
@@ -234,6 +256,11 @@ TEST(ScenarioSpec, ParseErrorsNameTheKey)
         {"job=web:weight=abc", "weight"},
         {"colour=red", "colour"},
         {"novalue", "novalue"},
+        {"device=nosuch", "device"},
+        {"seconds=1e300", "seconds"},
+        {"job=web:bs=99999999999G", "bs"},
+        {"job=web:bs=4G", "bs"},
+        {"job=web:depth=4294967296", "depth"},
     };
     for (const auto &c : bad) {
         try {

@@ -320,19 +320,60 @@ TEST(WhatifQuery, ParseErrors)
     EXPECT_EQ(q.weight, 300u);
 }
 
-/** Unknown cgroups and cross-kind device swaps are clean errors
- *  (whatif_error documents), not aborts. */
+/** The error message of @p service's answer to @p query, which must
+ *  be a whatif_error document. */
+std::string
+errorText(whatif::Service &service, const std::string &query)
+{
+    const sim::json::Value doc =
+        sim::json::parse(service.evaluate(whatif::Query::parse(query)));
+    EXPECT_EQ(doc.string("type"), "whatif_error") << query;
+    return doc.string("error");
+}
+
+/** Unknown cgroups, unknown profiles and cross-kind device swaps are
+ *  clean errors (whatif_error documents), not aborts. */
 TEST(WhatifService, BadQueriesAreErrors)
 {
     whatif::Service service(smallScenario(), 1);
-    const std::string unknown_cg = service.evaluate(
-        whatif::Query::parse("{\"q\":\"weight\",\"cg\":\"nope\","
-                             "\"value\":300}"));
-    EXPECT_NE(unknown_cg.find("whatif_error"), std::string::npos);
-    const std::string wrong_kind = service.evaluate(
-        whatif::Query::parse(
-            "{\"q\":\"device\",\"profile\":\"hdd\"}"));
-    EXPECT_NE(wrong_kind.find("whatif_error"), std::string::npos);
+    EXPECT_EQ(errorText(service, "{\"q\":\"weight\",\"cg\":\"nope\","
+                                 "\"value\":300}"),
+              "whatif: unknown cgroup \"nope\"");
+    EXPECT_EQ(errorText(service,
+                        "{\"q\":\"device\",\"profile\":\"nosuch\"}"),
+              "unknown device \"nosuch\" (oldgen, newgen, enterprise, "
+              "A, B, C, D, E, F, G, H, hdd, gp3, io2, pd-balanced, "
+              "pd-ssd)");
+
+    // A live device takes only a profile of its own kind: on an SSD,
+    // a spinning-disk and a cloud-volume host.
+    const struct
+    {
+        const char *device;
+        const char *profile;
+        const char *model;
+    } swaps[] = {
+        {"newgen", "hdd", "newgen-commercial-ssd"},
+        {"newgen", "pd-ssd", "newgen-commercial-ssd"},
+        {"hdd", "G", "nearline-hdd-7200rpm"},
+        {"hdd", "io2", "nearline-hdd-7200rpm"},
+        {"gp3", "enterprise", "aws-ebs-gp3-3000iops"},
+        {"gp3", "hdd", "aws-ebs-gp3-3000iops"},
+    };
+    for (const auto &c : swaps) {
+        whatif::Service host_service(
+            host::ScenarioSpec::parse(std::string("device=") +
+                                      c.device + ";seconds=0.2"),
+            1);
+        EXPECT_EQ(errorText(host_service,
+                            std::string("{\"q\":\"device\","
+                                        "\"profile\":\"") +
+                                c.profile + "\"}"),
+                  std::string("device profile \"") + c.profile +
+                      "\" does not fit device \"" + c.model +
+                      "\"; a live device can only swap to a profile "
+                      "of its own kind");
+    }
 }
 
 /** Error documents stay valid JSON when the message quotes a value,

@@ -323,10 +323,6 @@ TEST(SweepRunner, ConstructionErrors)
                  std::invalid_argument);
     EXPECT_THROW(host::SweepRunner(sim, baseOptions({"nonsense"})),
                  std::invalid_argument);
-    host::SweepOptions bad_sinks = baseOptions({kSpecA, kSpecB});
-    bad_sinks.laneSinks.resize(1, nullptr);
-    EXPECT_THROW(host::SweepRunner(sim, std::move(bad_sinks)),
-                 std::invalid_argument);
 }
 
 // ------------------------------------------------------------------

@@ -617,7 +617,7 @@ main(int argc, char **argv)
                 return argv[++i];
             };
             if (arg == "--every") {
-                every = static_cast<unsigned>(sim::parseCount(next()));
+                every = sim::narrow<unsigned>(sim::parseCount(next()));
             } else if (arg == "--detail") {
                 detail = true;
             } else if (arg == "--out") {

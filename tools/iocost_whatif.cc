@@ -55,7 +55,7 @@ main(int argc, char **argv)
             scenario_arg = next();
         } else if (arg == "--threads") {
             try {
-                threads = static_cast<unsigned>(sim::parseCount(next()));
+                threads = sim::narrow<unsigned>(sim::parseCount(next()));
             } catch (const std::invalid_argument &err) {
                 sim::fatal(arg + ": " + err.what());
             }
