@@ -13,7 +13,9 @@
  * allocator. A BioPtr is a unique_ptr whose deleter returns the bio
  * to its owning pool instead of freeing it; completion callbacks are
  * move-only InlineFunctions stored inside the bio itself (the
- * kernel's bi_end_io + bi_private, not a heap-allocated closure).
+ * kernel's bi_end_io + bi_private, not a heap-allocated closure). A
+ * back-merge keeps the absorbed bio, completion and all, on the
+ * surviving bio's merge chain, so merging allocates nothing either.
  */
 
 #ifndef IOCOST_BLK_BIO_HH
@@ -22,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "cgroup/cgroup_tree.hh"
 #include "sim/inline_function.hh"
@@ -78,7 +79,8 @@ statusName(BioStatus status)
 struct Bio;
 class BioPool;
 
-/** Returns a bio to its owning pool (or the heap when unpooled). */
+/** Returns a bio and the bios merged into it, each to its owning
+ *  pool (or the heap when unpooled). */
 struct BioDeleter
 {
     void operator()(Bio *bio) const noexcept;
@@ -88,25 +90,27 @@ struct BioDeleter
 using BioPtr = std::unique_ptr<Bio, BioDeleter>;
 
 /**
- * Completion callback delivered to the submitter. Move-only with
- * inline storage: a capture up to kInlineBytes (an object pointer, a
- * keep-alive shared_ptr and a few scalars) lives inside the bio and
- * costs no allocation. Oversized captures fall back to the heap —
- * fine on cold paths, a bug on the per-IO fast path (the bio-path
- * bench asserts zero steady-state allocations).
+ * Completion callback delivered to the submitter. Move-only with 40
+ * bytes of inline storage: a capture up to that size lives inside
+ * the bio and costs no allocation. The largest real one, ZooKeeper's
+ * group commit (`[this, pp, batch]`), is exactly 40 bytes; an object
+ * pointer, a keep-alive shared_ptr and a scalar take 32. Oversized
+ * captures fall back to the heap — fine on cold paths, a bug on the
+ * per-IO fast path (the bio-path bench asserts zero steady-state
+ * allocations, and test_bio_pool pins every hot capture shape).
  */
-using BioEndFn = sim::InlineFunction<void(const Bio &), 48>;
+using BioEndFn = sim::InlineFunction<void(const Bio &), 40>;
 
 /**
- * One block IO request.
+ * One block IO request: 120 bytes, which test_bio_pool pins. A
+ * throttled cgroup's backlog is nothing but bios, so these bytes set
+ * how much queued IO a simulation holds per megabyte; the one-byte
+ * fields share one word and nothing else pads.
  */
 struct Bio
 {
     /** Monotonic id, assigned by the block layer at submission. */
     uint64_t id = 0;
-
-    /** Operation direction. */
-    Op op = Op::Read;
 
     /** Byte offset on the device. */
     uint64_t offset = 0;
@@ -116,6 +120,9 @@ struct Bio
 
     /** Issuing (charged) cgroup. */
     cgroup::CgroupId cgroup = cgroup::kRoot;
+
+    /** Operation direction. */
+    Op op = Op::Read;
 
     /**
      * Swap-out / swap-in IO issued by memory reclaim on behalf of the
@@ -138,12 +145,6 @@ struct Bio
      */
     bool wb = false;
 
-    /** When the bio entered the block layer. */
-    sim::Time submitTime = 0;
-
-    /** When the bio was dispatched to the device. */
-    sim::Time dispatchTime = 0;
-
     /**
      * Completion status, inspected by completion callbacks. Ok on
      * the wire; a device sets Error when fault injection fails the
@@ -156,17 +157,25 @@ struct Bio
     /** Retry attempts consumed so far (block-layer requeues). */
     uint8_t retries = 0;
 
+    /** When the bio entered the block layer. */
+    sim::Time submitTime = 0;
+
+    /** When the bio was dispatched to the device. */
+    sim::Time dispatchTime = 0;
+
     /** Invoked by the block layer when the bio completes. */
     BioEndFn onComplete;
 
     /**
-     * Completion callbacks of bios back-merged into this one, run
-     * after onComplete in merge order. A flat list, not a chain of
-     * nested closures: capture size stays constant per merge, and
-     * the vector's capacity survives pool recycling so repeated
-     * merging settles into zero allocations.
+     * The bios back-merged into this one, newest first, each owning
+     * the one merged before it (the kernel's bi_next list under a
+     * request, kept in reverse so a merge is O(1)). The absorbed bios
+     * themselves carry their completions, so a merge costs no
+     * allocation and nothing grows with the chain; they are released
+     * with this bio. A free pooled bio reuses this word as its
+     * free-list link (see BioPool).
      */
-    std::vector<BioEndFn> moreCompletions;
+    BioPtr merged;
 
     /**
      * Scratch slot for the installed controller (IOCost stores the
@@ -178,32 +187,44 @@ struct Bio
     /** Owning pool; null for plain heap-allocated bios. */
     BioPool *pool = nullptr;
 
-    /** Append a completion callback (used by the back-merge path). */
+    /**
+     * Back-merge @p other into this bio: this bio grows by its size,
+     * and @p other, followed by any chain it already carries, becomes
+     * the newest part of the merge chain. O(1), unless @p other
+     * carries a chain of its own (a retried merged bio).
+     */
     void
-    addCompletion(BioEndFn fn)
+    absorb(BioPtr other)
     {
-        if (!onComplete)
-            onComplete = std::move(fn);
-        else
-            moreCompletions.push_back(std::move(fn));
+        size += other->size;
+        BioPtr own = std::move(other->merged);
+        other->merged = std::move(merged);
+        merged = std::move(other);
+        if (own) {
+            BioPtr *oldest = &own;
+            while (*oldest)
+                oldest = &(*oldest)->merged;
+            *oldest = std::move(merged);
+            merged = std::move(own);
+        }
     }
 
-    /** @return true if any completion callback is attached. */
-    bool
-    hasCompletion() const
-    {
-        return static_cast<bool>(onComplete) ||
-               !moreCompletions.empty();
-    }
-
-    /** Run every attached completion callback, in attach order. */
+    /**
+     * Run this bio's completion, then those of the bios merged into
+     * it, in merge order. Every callback receives this bio: the
+     * request as the device served it.
+     */
     void
     runCompletions()
     {
         if (onComplete)
             onComplete(*this);
-        for (BioEndFn &fn : moreCompletions)
-            fn(*this);
+        merged = reversed(std::move(merged)); // oldest first
+        for (Bio *b = merged.get(); b != nullptr; b = b->merged.get()) {
+            if (b->onComplete)
+                b->onComplete(*this);
+        }
+        merged = reversed(std::move(merged));
     }
 
     /**
@@ -213,12 +234,28 @@ struct Bio
     static BioPtr make(Op op, uint64_t offset, uint32_t size,
                        cgroup::CgroupId cg,
                        BioEndFn on_complete = {});
+
+  private:
+    /** @p chain with its links reversed; moves only pointers. */
+    static BioPtr
+    reversed(BioPtr chain)
+    {
+        BioPtr out;
+        while (chain) {
+            BioPtr next = std::move(chain->merged);
+            chain->merged = std::move(out);
+            out = std::move(chain);
+            chain = std::move(next);
+        }
+        return out;
+    }
 };
 
 /**
  * Deep-copy a bio for the snapshot path: all scalar fields plus
  * cloned completion callbacks (which must have copyable captures —
- * see InlineFunction::clone()).
+ * see InlineFunction::clone()), and the same for every bio in its
+ * merge chain.
  *
  * The clone is always heap-allocated, never pool-backed: a snapshot
  * image may outlive the taking thread's arena or be destroyed from

@@ -12,17 +12,25 @@
  * bench. BioPool closes that gap:
  *
  *  - bios live in slabs (kSlabBios per allocation) and recycle
- *    through a pointer free list; steady state performs no global
- *    allocator calls;
- *  - recycling preserves each bio's moreCompletions capacity, so the
- *    back-merge path also settles into zero allocations;
- *  - under IOCOST_SANITIZE (ASan) free slots are poisoned, so
- *    use-after-release and double-release of a BioPtr trip the
- *    sanitizer exactly like a heap use-after-free would;
+ *    through an intrusive free list linked through each free bio's
+ *    `merged` word, so steady state performs no global allocator
+ *    calls and the free list itself costs no memory (a side vector
+ *    of pointers would grow to the largest backlog ever released);
+ *  - a back-merge chains the absorbed bio onto the survivor
+ *    (Bio::merged), and releasing the survivor returns the whole
+ *    chain, so the merge path allocates nothing either;
+ *  - under IOCOST_SANITIZE (ASan) a free bio is poisoned except its
+ *    free-list link word, so use-after-release and double-release
+ *    of a BioPtr trip the sanitizer exactly like a heap
+ *    use-after-free would;
  *  - a process-wide bypass flag reverts Bio::make to plain heap
  *    allocation — the pre-pool behaviour — which the determinism
  *    tests use to prove pooling cannot change simulated results and
  *    the bio-path bench uses as its pinned seed-shaped baseline.
+ *
+ * Sizes (pinned in test_bio_pool): a Bio is 120 bytes, 40 of them
+ * inline completion storage, so a pooled backlog of N queued bios
+ * costs N * 120 bytes plus its slabs' one allocation per 64 bios.
  *
  * One pool per thread (BioPool::local): each fleet worker owns a
  * private arena, so pooling needs no locks and parallel runs stay
@@ -76,6 +84,10 @@ class BioPool
     {
         for (auto &slab : slabs_)
             unpoisonSlab(slab.get());
+        // Unhook the free-list links, or the slab destructors would
+        // follow them as merge chains.
+        while (freeHead_ != nullptr)
+            freeHead_ = freeHead_->merged.release();
     }
 
     BioPool(const BioPool &) = delete;
@@ -106,17 +118,18 @@ class BioPool
         return BioPtr(bio);
     }
 
-    /** Return a bio to the free list (called by BioDeleter). */
+    /**
+     * Return one bio to the free list (called by BioDeleter, which
+     * has already detached its merge chain).
+     */
     void
     release(Bio *bio) noexcept
     {
         // Drop captured state now (completion closures may hold
-        // keep-alive references); the vector keeps its capacity.
+        // keep-alive references).
         bio->onComplete.reset();
-        bio->moreCompletions.clear();
         --outstanding_;
-        poison(bio);
-        free_.push_back(bio);
+        pushFree(bio);
     }
 
     /** The calling thread's arena (what Bio::make draws from). */
@@ -172,11 +185,11 @@ class BioPool
     Bio *
     acquire()
     {
-        if (free_.empty())
+        if (freeHead_ == nullptr)
             grow();
-        Bio *bio = free_.back();
-        free_.pop_back();
+        Bio *bio = freeHead_;
         unpoison(bio);
+        freeHead_ = bio->merged.release();
         ++acquired_;
         if (++outstanding_ > highWater_)
             highWater_ = outstanding_;
@@ -188,20 +201,32 @@ class BioPool
     {
         slabs_.push_back(std::make_unique<Bio[]>(kSlabBios));
         Bio *slab = slabs_.back().get();
-        free_.reserve(free_.size() + kSlabBios);
         for (size_t i = 0; i < kSlabBios; ++i) {
             slab[i].pool = this;
-            poison(&slab[i]); // free slots stay poisoned until drawn
-            free_.push_back(&slab[i]);
+            pushFree(&slab[i]);
         }
         created_ += kSlabBios;
     }
 
+    /**
+     * Push a free bio (empty merge chain) onto the free list, linked
+     * through its `merged` word. It stays poisoned until drawn.
+     */
+    void
+    pushFree(Bio *bio) noexcept
+    {
+        bio->merged.reset(freeHead_); // was empty: nothing released
+        freeHead_ = bio;
+        poison(bio);
+    }
+
+    /** Poison a free bio, all but its free-list link. */
     static void
     poison(Bio *bio)
     {
 #ifdef IOCOST_BIO_POOL_ASAN
         ASAN_POISON_MEMORY_REGION(bio, sizeof(Bio));
+        ASAN_UNPOISON_MEMORY_REGION(&bio->merged, sizeof(bio->merged));
 #else
         (void)bio;
 #endif
@@ -233,7 +258,8 @@ class BioPool
     inline static std::atomic<bool> bypass_{false};
 
     std::vector<std::unique_ptr<Bio[]>> slabs_;
-    std::vector<Bio *> free_;
+    /** Head of the free list; each free bio's `merged` links the next. */
+    Bio *freeHead_ = nullptr;
     uint64_t outstanding_ = 0;
     uint64_t highWater_ = 0;
     uint64_t created_ = 0;
@@ -243,10 +269,16 @@ class BioPool
 inline void
 BioDeleter::operator()(Bio *bio) const noexcept
 {
-    if (bio->pool)
-        bio->pool->release(bio);
-    else
-        delete bio;
+    // Walk the merge chain iteratively, each bio to its own owner: a
+    // chain can mix pooled bios with heap clones a snapshot restored.
+    while (bio != nullptr) {
+        Bio *next = bio->merged.release();
+        if (bio->pool)
+            bio->pool->release(bio);
+        else
+            delete bio;
+        bio = next;
+    }
 }
 
 inline BioPtr
@@ -262,25 +294,28 @@ cloneBio(const Bio &src)
 {
     // Heap, not pool: see the declaration in bio.hh. The snapshot
     // path is deliberately outside the zero-alloc budget.
-    Bio *out = new Bio;
-    out->id = src.id;
-    out->op = src.op;
-    out->offset = src.offset;
-    out->size = src.size;
-    out->cgroup = src.cgroup;
-    out->swap = src.swap;
-    out->meta = src.meta;
-    out->wb = src.wb;
-    out->submitTime = src.submitTime;
-    out->dispatchTime = src.dispatchTime;
-    out->status = src.status;
-    out->retries = src.retries;
-    out->onComplete = src.onComplete.clone();
-    out->moreCompletions.reserve(src.moreCompletions.size());
-    for (const BioEndFn &fn : src.moreCompletions)
-        out->moreCompletions.push_back(fn.clone());
-    out->controllerScratch = src.controllerScratch;
-    return BioPtr(out);
+    BioPtr head;
+    BioPtr *tail = &head;
+    for (const Bio *b = &src; b != nullptr; b = b->merged.get()) {
+        Bio *out = new Bio;
+        out->id = b->id;
+        out->offset = b->offset;
+        out->size = b->size;
+        out->cgroup = b->cgroup;
+        out->op = b->op;
+        out->swap = b->swap;
+        out->meta = b->meta;
+        out->wb = b->wb;
+        out->status = b->status;
+        out->retries = b->retries;
+        out->submitTime = b->submitTime;
+        out->dispatchTime = b->dispatchTime;
+        out->onComplete = b->onComplete.clone();
+        out->controllerScratch = b->controllerScratch;
+        tail->reset(out);
+        tail = &out->merged;
+    }
+    return head;
 }
 
 } // namespace iocost::blk

@@ -21,13 +21,15 @@
 
 namespace iocost::blk {
 
-/** Box one bio into the snapshot image. */
+/** Box one bio, with the bios merged into it, into the snapshot
+ *  image (one box either way). */
 inline void
 stateBio(sim::StateWriter &w, const BioPtr &bio)
 {
-    // cloneBio() heap-allocates (pool == nullptr), so the default
-    // shared_ptr deleter is the right one and the image can be
-    // destroyed from any thread.
+    // cloneBio() heap-allocates the bio and its merge chain (pool ==
+    // nullptr throughout), so the default shared_ptr deleter, which
+    // releases the chain through ~Bio, is the right one and the
+    // image can be destroyed from any thread.
     w.putBox(std::shared_ptr<const Bio>(cloneBio(*bio).release()));
 }
 

@@ -98,15 +98,10 @@ BlockLayer::dispatch(BioPtr bio)
             parked->cgroup == bio->cgroup &&
             parked->offset + parked->size == bio->offset &&
             parked->size + bio->size <= kMaxMergedBytes) {
-            parked->size += bio->size;
             ++mergedBios_;
-            // Flat completion list: each merge appends one slot
-            // instead of nesting closures whose capture grows with
-            // every absorbed bio. The absorbed bio recycles here.
-            if (bio->onComplete)
-                parked->addCompletion(std::move(bio->onComplete));
-            for (BioEndFn &fn : bio->moreCompletions)
-                parked->addCompletion(std::move(fn));
+            // The absorbed bio rides the parked one's merge chain,
+            // completion and all, and recycles when it completes.
+            parked->absorb(std::move(bio));
             return;
         }
     }

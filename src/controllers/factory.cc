@@ -30,20 +30,22 @@ makeController(const ControllerSpec &spec)
 
 namespace {
 
-sim::Time
-micros(double v)
-{
-    return static_cast<sim::Time>(v * sim::kUsec);
-}
-
 /**
  * Apply one key=value setting to the mechanism named by spec.name.
  * @return false on an unrecognized key (iocost accepts everything
  *         here; its keys are validated by the io.cost parsers).
+ * @throws std::invalid_argument when @p v does not fit the key's
+ *         time or count field.
  */
 bool
 applyKey(ControllerSpec &spec, const std::string &key, double v)
 {
+    auto micros = [&](double us) {
+        return core::configMicros(key, us);
+    };
+    auto count = [&](double n) {
+        return core::configCount<unsigned>(key, n);
+    };
     if (spec.name == "kyber") {
         if (key == "rlat")
             spec.kyber.readTarget = micros(v);
@@ -52,7 +54,7 @@ applyKey(ControllerSpec &spec, const std::string &key, double v)
         else if (key == "window")
             spec.kyber.window = micros(v);
         else if (key == "wdepth")
-            spec.kyber.maxWriteDepth = static_cast<unsigned>(v);
+            spec.kyber.maxWriteDepth = count(v);
         else
             return false;
         return true;
@@ -63,18 +65,19 @@ applyKey(ControllerSpec &spec, const std::string &key, double v)
         else if (key == "wexpire")
             spec.mqDeadline.writeExpire = micros(v);
         else if (key == "batch")
-            spec.mqDeadline.fifoBatch = static_cast<unsigned>(v);
+            spec.mqDeadline.fifoBatch = count(v);
         else
             return false;
         return true;
     }
     if (spec.name == "bfq") {
         if (key == "budget")
-            spec.bfq.budgetBytes = static_cast<uint64_t>(v);
+            spec.bfq.budgetBytes =
+                core::configCount<uint64_t>(key, v);
         else if (key == "idle")
             spec.bfq.idleWait = micros(v);
         else if (key == "inject")
-            spec.bfq.injectionDepth = static_cast<unsigned>(v);
+            spec.bfq.injectionDepth = count(v);
         else
             return false;
         return true;
@@ -96,9 +99,9 @@ applyKey(ControllerSpec &spec, const std::string &key, double v)
         if (key == "window")
             spec.iolatency.window = micros(v);
         else if (key == "mindepth")
-            spec.iolatency.minDepth = static_cast<unsigned>(v);
+            spec.iolatency.minDepth = count(v);
         else if (key == "maxdepth")
-            spec.iolatency.maxDepth = static_cast<unsigned>(v);
+            spec.iolatency.maxDepth = count(v);
         else
             return false;
         return true;
@@ -130,7 +133,7 @@ parseControllerSpec(const std::string &line)
         // extensions, delegate the rest to the kernel-format parsers
         // (which each ignore the other's keys).
         std::string rest;
-        std::optional<double> period;
+        std::optional<sim::Time> period;
         for (size_t i = 1; i < toks.size(); ++i) {
             std::string key, value;
             if (!core::configKeyValue(toks[i], key, value))
@@ -143,7 +146,7 @@ parseControllerSpec(const std::string &line)
                 double v = 0;
                 if (!core::configPositiveNumber(value, v))
                     return std::nullopt;
-                period = v;
+                period = core::configMicros(key, v);
                 continue;
             }
             if (key == "debt") {
@@ -174,7 +177,7 @@ parseControllerSpec(const std::string &line)
         // block replaces the whole QoS struct (kernel semantics), and
         // the extension then overrides just the planning period.
         if (period)
-            spec.iocost.qos.period = micros(*period);
+            spec.iocost.qos.period = *period;
         return spec;
     }
 

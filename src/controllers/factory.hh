@@ -111,6 +111,9 @@ makeController(const ControllerSpec &spec);
  *
  * @return The parsed spec, or std::nullopt on an unknown mechanism
  *         or malformed key=value syntax.
+ * @throws std::invalid_argument naming the key when a time or count
+ *         does not fit its field (`wdepth: 10000000000 is out of
+ *         range (max 4294967295)`).
  */
 std::optional<ControllerSpec>
 parseControllerSpec(const std::string &line);

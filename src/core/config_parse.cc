@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 namespace iocost::core {
@@ -45,6 +47,17 @@ configPositiveNumber(const std::string &s, double &out)
 
 namespace {
 
+/** Throw `KEY: V is out of range (WHY)`. */
+[[noreturn]] void
+outOfRange(const std::string &key, double v, const char *unit,
+           const std::string &why)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.15g%s", v, unit);
+    throw std::invalid_argument(key + ": " + buf +
+                                " is out of range (" + why + ")");
+}
+
 /** @return true if the token looks like a "MAJ:MIN" device id. */
 bool
 isDevNumber(const std::string &tok)
@@ -54,6 +67,29 @@ isDevNumber(const std::string &tok)
 }
 
 } // namespace
+
+sim::Time
+configMicros(const std::string &key, double us)
+{
+    const double ns = us * sim::kUsec;
+    if (!(ns < 0x1p63))
+        outOfRange(key, us, " us", "2^63 ns or more");
+    return static_cast<sim::Time>(ns);
+}
+
+template <std::unsigned_integral T>
+T
+configCount(const std::string &key, double v)
+{
+    constexpr T kMax = std::numeric_limits<T>::max();
+    // kMax + 1 is a power of two, exact as a double.
+    if (!(v < static_cast<double>(kMax) + 1.0))
+        outOfRange(key, v, "", "max " + std::to_string(kMax));
+    return static_cast<T>(v);
+}
+
+template unsigned configCount<unsigned>(const std::string &, double);
+template uint64_t configCount<uint64_t>(const std::string &, double);
 
 std::optional<LinearModelConfig>
 parseModelLine(const std::string &line)
@@ -125,13 +161,11 @@ parseQosLine(const std::string &line)
         if (key == "rpct") {
             qos.readLatQuantile = v / 100.0;
         } else if (key == "rlat") {
-            qos.readLatTarget =
-                static_cast<sim::Time>(v * sim::kUsec);
+            qos.readLatTarget = configMicros(key, v);
         } else if (key == "wpct") {
             qos.writeLatQuantile = v / 100.0;
         } else if (key == "wlat") {
-            qos.writeLatTarget =
-                static_cast<sim::Time>(v * sim::kUsec);
+            qos.writeLatTarget = configMicros(key, v);
         } else if (key == "min") {
             qos.vrateMin = v / 100.0;
         } else if (key == "max") {

@@ -19,12 +19,14 @@
 #ifndef IOCOST_CORE_CONFIG_PARSE_HH
 #define IOCOST_CORE_CONFIG_PARSE_HH
 
+#include <concepts>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cost_model.hh"
 #include "core/qos.hh"
+#include "sim/time.hh"
 
 namespace iocost::core {
 
@@ -41,6 +43,22 @@ bool configKeyValue(const std::string &tok, std::string &key,
 /** Parse a strictly positive, finite number; returns false on
  *  garbage. */
 bool configPositiveNumber(const std::string &s, double &out);
+
+/**
+ * A parsed positive number of microseconds as simulated time.
+ * @throws std::invalid_argument naming @p key (`rlat: 2e+20 us is
+ *         out of range (2^63 ns or more)`) when it does not fit.
+ */
+sim::Time configMicros(const std::string &key, double us);
+
+/**
+ * A parsed positive number truncated to the count field it sets
+ * (unsigned or uint64_t).
+ * @throws std::invalid_argument naming @p key (`wdepth: 10000000000
+ *         is out of range (max 4294967295)`) when it does not fit.
+ */
+template <std::unsigned_integral T>
+T configCount(const std::string &key, double v);
 
 /**
  * Parse an io.cost.model line.
@@ -60,6 +78,10 @@ std::string formatModelLine(const LinearModelConfig &cfg);
  * Parse an io.cost.qos line (rpct/rlat/wpct/wlat/min/max keys;
  * percentiles in percent, latencies in microseconds, min/max in
  * percent of the model rate). Missing keys keep their defaults.
+ * Returns std::nullopt on malformed syntax, a non-positive value or
+ * min above max.
+ * @throws std::invalid_argument when rlat or wlat is out of range
+ *         (see configMicros).
  */
 std::optional<QosParams> parseQosLine(const std::string &line);
 

@@ -13,7 +13,9 @@
  * - Callbacks are `InlineCallback`s: lambdas up to 48 bytes live in
  *   the slot itself, so scheduling performs no heap allocation
  *   (the seed kernel paid a `make_shared<bool>` tombstone plus a
- *   possible `std::function` allocation per event).
+ *   possible `std::function` allocation per event). A slot is the
+ *   56-byte callback plus its generation and free-list link: 64
+ *   bytes, one cache line (kSlotBytes).
  * - Slots are recycled through a free list and carry a generation
  *   counter. An EventHandle is (queue, slot, generation); cancel and
  *   pending() are O(1) generation compares, and a recycled slot
@@ -30,6 +32,7 @@
 #define IOCOST_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -274,6 +277,11 @@ class EventQueue
 
     static constexpr uint32_t kNoFree = UINT32_MAX;
 
+  public:
+    /** Bytes per pooled event (tests pin it to one cache line). */
+    static constexpr std::size_t kSlotBytes = sizeof(Slot);
+
+  private:
     template <typename Self, typename Tape>
     static void
     walk(Self &self, Tape &t)

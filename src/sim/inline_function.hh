@@ -8,11 +8,12 @@
  * `std::function` pays a heap allocation for any capture larger than
  * its (small) internal buffer plus RTTI-driven dispatch, and forces
  * every capture to be copyable. InlineFunction<Sig, N> stores
- * callables up to N bytes directly in the object — enough for every
- * lambda the simulator schedules or completes (a couple of pointers
- * and a few scalars) — and only falls back to the heap for oversized
- * captures. Dispatch is two function-pointer tables, no RTTI, no
- * exception machinery.
+ * callables up to N bytes and pointer alignment directly in the
+ * object (N + 8 bytes in all) — enough for every lambda the
+ * simulator schedules or completes (a couple of pointers and a few
+ * scalars) — and only falls back to the heap for oversized or
+ * over-aligned captures. Dispatch is two function-pointer tables, no
+ * RTTI, no exception machinery.
  *
  * Move-only by design: events fire exactly once and a bio completes
  * exactly once, so copying a callback is always a bug (it was also
@@ -51,6 +52,14 @@ class InlineFunction<R(Args...), N>
   public:
     /** Captures up to this many bytes are stored without allocating. */
     static constexpr std::size_t kInlineBytes = N;
+
+    /**
+     * Alignment of the inline buffer: a pointer's, so the wrapper is
+     * N + 8 bytes with no padding (an InlineCallback is 56 bytes and
+     * an event slot one 64-byte line). A callable that needs more
+     * alignment than a pointer takes the heap path.
+     */
+    static constexpr std::size_t kInlineAlign = alignof(void *);
 
     InlineFunction() = default;
 
@@ -210,7 +219,7 @@ class InlineFunction<R(Args...), N>
     {
         using Fn = std::decay_t<F>;
         if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
+                      alignof(Fn) <= kInlineAlign &&
                       std::is_nothrow_move_constructible_v<Fn>) {
             ::new (static_cast<void *>(storage_))
                 Fn(std::forward<F>(fn));
@@ -319,7 +328,7 @@ class InlineFunction<R(Args...), N>
         false,
     };
 
-    alignas(std::max_align_t) unsigned char storage_[N];
+    alignas(kInlineAlign) unsigned char storage_[N];
     const VTable *vtable_ = nullptr;
 };
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the zero-allocation bio hot path: the BioPool
- * slab/free-list arena, the pooled BioPtr lifecycle, the flat
- * completion list used by the back-merge path, and the
- * InlineFunction small-buffer callable the whole path is built on.
+ * Unit tests for the zero-allocation bio hot path: the byte budgets
+ * of a bio and an event slot, the BioPool slab/intrusive free-list
+ * arena, the pooled BioPtr lifecycle, the merge chain used by the
+ * back-merge path (also through a snapshot), and the InlineFunction
+ * small-buffer callable the whole path is built on.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +17,19 @@
 
 #include "blk/bio.hh"
 #include "blk/block_layer.hh"
+#include "blk/service_log.hh"
 #include "cgroup/cgroup_tree.hh"
+#include "controllers/factory.hh"
 #include "device/device_profiles.hh"
 #include "device/ssd_model.hh"
+#include "host/device_factory.hh"
+#include "host/host.hh"
+#include "sim/async.hh"
+#include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/simulator.hh"
+#include "sim/state.hh"
+#include "workload/fio_workload.hh"
 
 namespace {
 
@@ -57,6 +66,26 @@ TEST(InlineFunction, OversizedCaptureFallsBackToHeap)
     EXPECT_EQ(got, 7);
 }
 
+TEST(InlineFunction, OveralignedCaptureFallsBackToHeap)
+{
+    // The inline buffer is pointer-aligned; a capture that needs
+    // more alignment is stored on the heap, still correctly aligned.
+    struct alignas(16) Wide
+    {
+        int v;
+    } wide{9};
+    const void *seen = nullptr;
+    int got = 0;
+    sim::InlineFunction<void(), 48> fn = [wide, &seen, &got] {
+        seen = &wide;
+        got = wide.v;
+    };
+    EXPECT_FALSE(fn.storedInline());
+    fn();
+    EXPECT_EQ(got, 9);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(seen) % 16, 0u);
+}
+
 TEST(InlineFunction, HotPathCaptureShapesFitInline)
 {
     // The capture shapes the fast path relies on staying
@@ -89,6 +118,49 @@ TEST(InlineFunction, HotPathCaptureShapesFitInline)
         (void)started;
     };
     EXPECT_TRUE(end.storedInline());
+
+    // Every completion the simulator attaches to a bio, mirrored
+    // capture for capture, inside the 40-byte BioEndFn budget.
+    auto fits = [](auto &&fn) {
+        EXPECT_LE(sizeof(fn), blk::BioEndFn::kInlineBytes);
+        blk::BioEndFn wrapped = std::move(fn);
+        return wrapped.storedInline();
+    };
+    // fio: [this, submitted].
+    EXPECT_TRUE(fits([self, submitted = sim::Time{0}](
+                         const blk::Bio &) { (void)self, (void)submitted; }));
+    // Page-cache read fill: [this, slot].
+    EXPECT_TRUE(fits([self, slot = uint32_t{0}](const blk::Bio &) {
+        (void)self, (void)slot;
+    }));
+    // Page-cache writeback: [this, cg, bytes].
+    EXPECT_TRUE(fits([self, cg = cgroup::CgroupId{0},
+                      bytes = uint32_t{0}](const blk::Bio &) {
+        (void)self, (void)cg, (void)bytes;
+    }));
+    // Memory manager swap-out: [this, chunk, barrier].
+    EXPECT_TRUE(fits([self, chunk = uint64_t{0},
+                      barrier = sim::AsyncBarrier::Ptr()](
+                         const blk::Bio &) {
+        (void)self, (void)chunk, (void)barrier;
+    }));
+    // Journal commit: [this]; async loops: [keep = loop.self()].
+    EXPECT_TRUE(fits([self](const blk::Bio &) { (void)self; }));
+    EXPECT_TRUE(fits([keep = sim::AsyncLoop::Ptr()](
+                         const blk::Bio &) { (void)keep; }));
+    // ZooKeeper group commit: [this, pp, batch], the largest at
+    // exactly the budget.
+    auto zk = [self, pp = self,
+               batch = sim::MoveOnly(
+                   std::vector<sim::InlineFunction<void(), 48>>())](
+                  const blk::Bio &) mutable {
+        (void)self, (void)pp, (void)batch;
+    };
+    EXPECT_EQ(sizeof(zk), blk::BioEndFn::kInlineBytes);
+    EXPECT_TRUE(fits(std::move(zk)));
+    // Sweep lanes: ServiceLog::releaser(), the real closure.
+    blk::ServiceLog log;
+    EXPECT_TRUE(log.releaser().storedInline());
 }
 
 TEST(InlineFunction, MoveTransfersCallableAndEmptiesSource)
@@ -138,6 +210,21 @@ TEST(InlineFunction, ResetReleasesCapturedState)
 }
 
 // ---------------------------------------------------------------
+// Byte budgets
+// ---------------------------------------------------------------
+
+TEST(Bio, LayoutFitsItsBudget)
+{
+    // A throttled backlog is nothing but bios, and every pending
+    // event is one slot: these sizes set how much queued IO and how
+    // many events a simulation holds per megabyte.
+    EXPECT_LE(sizeof(blk::Bio), 120u);
+    EXPECT_EQ(sizeof(blk::BioEndFn), blk::BioEndFn::kInlineBytes + 8);
+    EXPECT_EQ(sizeof(sim::InlineCallback), 56u);
+    EXPECT_LE(sim::EventQueue::kSlotBytes, 64u);
+}
+
+// ---------------------------------------------------------------
 // BioPool
 // ---------------------------------------------------------------
 
@@ -174,37 +261,63 @@ TEST(BioPool, ReusedBioIsFullyReinitialized)
         a->id = 99;
         a->swap = true;
         a->meta = true;
+        a->wb = true;
+        a->status = blk::BioStatus::Error;
+        a->retries = 3;
         a->submitTime = 7;
         a->dispatchTime = 8;
         a->controllerScratch = 3.5;
+        a->absorb(pool.make(blk::Op::Write, 579, 4096, cgroup::kRoot,
+                            [](const blk::Bio &) {}));
     }
-    blk::BioPtr b = pool.make(blk::Op::Read, 1, 2, cgroup::kRoot);
-    EXPECT_EQ(b->id, 0u);
-    EXPECT_EQ(b->op, blk::Op::Read);
-    EXPECT_EQ(b->offset, 1u);
-    EXPECT_EQ(b->size, 2u);
-    EXPECT_FALSE(b->swap);
-    EXPECT_FALSE(b->meta);
-    EXPECT_EQ(b->submitTime, 0);
-    EXPECT_EQ(b->dispatchTime, 0);
-    EXPECT_EQ(b->controllerScratch, 0.0);
-    EXPECT_FALSE(b->hasCompletion());
+    // Both bios of the released chain come back fresh.
+    std::vector<blk::BioPtr> drawn;
+    for (int i = 0; i < 2; ++i) {
+        drawn.push_back(
+            pool.make(blk::Op::Read, 1, 2, cgroup::kRoot));
+        const blk::BioPtr &b = drawn.back();
+        EXPECT_EQ(b->id, 0u);
+        EXPECT_EQ(b->op, blk::Op::Read);
+        EXPECT_EQ(b->offset, 1u);
+        EXPECT_EQ(b->size, 2u);
+        EXPECT_FALSE(b->swap);
+        EXPECT_FALSE(b->meta);
+        EXPECT_FALSE(b->wb);
+        EXPECT_EQ(b->status, blk::BioStatus::Ok);
+        EXPECT_EQ(b->retries, 0u);
+        EXPECT_EQ(b->submitTime, 0);
+        EXPECT_EQ(b->dispatchTime, 0);
+        EXPECT_EQ(b->controllerScratch, 0.0);
+        EXPECT_FALSE(b->onComplete);
+        // No stale chain and no free-list link.
+        EXPECT_EQ(b->merged, nullptr);
+    }
+    EXPECT_EQ(pool.acquired(), 4u);
+    EXPECT_EQ(pool.created(), blk::BioPool::kSlabBios);
 }
 
 TEST(BioPool, ReleaseDropsCompletionCaptures)
 {
     blk::BioPool pool;
     auto keep = std::make_shared<int>(0);
+    auto make = [&](uint64_t offset) {
+        return pool.make(blk::Op::Read, offset, 4096, cgroup::kRoot,
+                         [keep](const blk::Bio &) {});
+    };
     {
-        blk::BioPtr a =
-            pool.make(blk::Op::Read, 0, 4096, cgroup::kRoot,
-                      [keep](const blk::Bio &) {});
-        a->addCompletion([keep](const blk::Bio &) {});
-        EXPECT_EQ(keep.use_count(), 3);
+        blk::BioPtr a = make(0);
+        a->absorb(make(4096));
+        // An absorbed bio that already carries a chain brings it.
+        blk::BioPtr b = make(8192);
+        b->absorb(make(12288));
+        a->absorb(std::move(b));
+        EXPECT_EQ(keep.use_count(), 5);
+        EXPECT_EQ(pool.outstanding(), 4u);
     }
-    // Both closures (onComplete and the merged slot) released their
-    // keep-alive when the bio went back to the pool.
+    // Every closure in the chain released its keep-alive, and the
+    // absorbed bios went back to the pool with the primary.
     EXPECT_EQ(keep.use_count(), 1);
+    EXPECT_EQ(pool.outstanding(), 0u);
 }
 
 TEST(BioPool, ChurnIsBoundedBySteadyStateDepth)
@@ -248,64 +361,125 @@ TEST(BioPool, BypassRevertsToHeapAllocation)
     EXPECT_EQ(b->pool, &pool);
 }
 
-TEST(BioPool, MoreCompletionsCapacitySurvivesRecycle)
+TEST(BioPool, RepeatedMergingAllocatesNothing)
 {
+    // A merge chains the absorbed bios themselves, so the only
+    // storage merging could take is pool growth: once the first
+    // round has drawn its slots, every round recycles them.
     blk::BioPool pool;
-    blk::Bio *addr = nullptr;
-    size_t cap = 0;
-    {
-        blk::BioPtr a =
-            pool.make(blk::Op::Read, 0, 4096, cgroup::kRoot,
-                      [](const blk::Bio &) {});
-        for (int i = 0; i < 4; ++i)
-            a->addCompletion([](const blk::Bio &) {});
-        addr = a.get();
-        cap = a->moreCompletions.capacity();
-        ASSERT_GT(cap, 0u);
-    }
-    blk::BioPtr b = pool.make(blk::Op::Read, 0, 4096, cgroup::kRoot);
-    ASSERT_EQ(b.get(), addr);
-    EXPECT_TRUE(b->moreCompletions.empty());
-    // The vector's buffer is part of the slab slot's steady state:
-    // repeated merging settles into zero allocations.
-    EXPECT_GE(b->moreCompletions.capacity(), cap);
+    int runs = 0;
+    auto round = [&] {
+        blk::BioPtr primary =
+            pool.make(blk::Op::Write, 0, 4096, cgroup::kRoot,
+                      [&runs](const blk::Bio &) { ++runs; });
+        for (uint64_t i = 1; i <= 4; ++i) {
+            blk::BioEndFn fn = [&runs](const blk::Bio &) { ++runs; };
+            EXPECT_TRUE(fn.storedInline());
+            primary->absorb(pool.make(blk::Op::Write, i * 4096, 4096,
+                                      cgroup::kRoot, std::move(fn)));
+        }
+        primary->runCompletions();
+    };
+    round();
+    const uint64_t created = pool.created();
+    for (int r = 0; r < 1000; ++r)
+        round();
+    EXPECT_EQ(pool.created(), created);
+    EXPECT_EQ(pool.highWater(), 5u);
+    EXPECT_EQ(pool.outstanding(), 0u);
+    EXPECT_EQ(runs, 5 * 1001);
 }
 
+#ifdef IOCOST_BIO_POOL_ASAN
+// Only an AddressSanitizer build (IOCOST_SANITIZE) poisons free bios.
+TEST(BioPool, ReleasedBioIsPoisonedExceptItsLink)
+{
+    blk::BioPool pool;
+    blk::BioPtr a = pool.make(blk::Op::Read, 0, 4096, cgroup::kRoot);
+    blk::Bio *addr = a.get();
+    EXPECT_EQ(__asan_region_is_poisoned(addr, sizeof(blk::Bio)),
+              nullptr);
+    a.reset();
+
+    // Every byte of the released bio but its free-list link word.
+    const char *base = reinterpret_cast<const char *>(addr);
+    const char *link = reinterpret_cast<const char *>(&addr->merged);
+    for (size_t i = 0; i < sizeof(blk::Bio); ++i) {
+        const bool in_link =
+            base + i >= link && base + i < link + sizeof(addr->merged);
+        EXPECT_EQ(__asan_address_is_poisoned(base + i) != 0, !in_link)
+            << "byte " << i;
+    }
+    // Reading a field of the released bio trips ASan.
+    EXPECT_DEATH(
+        {
+            const volatile uint64_t id = addr->id;
+            (void)id;
+        },
+        "use-after-poison");
+
+    // Drawn again, the whole bio is usable.
+    blk::BioPtr b = pool.make(blk::Op::Read, 0, 4096, cgroup::kRoot);
+    ASSERT_EQ(b.get(), addr);
+    EXPECT_EQ(__asan_region_is_poisoned(addr, sizeof(blk::Bio)),
+              nullptr);
+}
+#endif
+
 // ---------------------------------------------------------------
-// Flat completion list (back-merge support)
+// Merge chain (back-merge support)
 // ---------------------------------------------------------------
 
 TEST(Bio, CompletionsRunInAttachOrder)
 {
     blk::BioPool pool;
     std::vector<int> order;
-    blk::BioPtr bio =
-        pool.make(blk::Op::Write, 0, 4096, cgroup::kRoot,
-                  [&order](const blk::Bio &) {
-                      order.push_back(0);
-                  });
-    bio->addCompletion(
-        [&order](const blk::Bio &) { order.push_back(1); });
-    bio->addCompletion(
-        [&order](const blk::Bio &) { order.push_back(2); });
-    EXPECT_TRUE(bio->hasCompletion());
+    std::vector<const blk::Bio *> args;
+    auto make = [&](uint64_t offset, int tag) {
+        return pool.make(blk::Op::Write, offset, 4096, cgroup::kRoot,
+                         [&order, &args, tag](const blk::Bio &b) {
+                             order.push_back(tag);
+                             args.push_back(&b);
+                         });
+    };
+    blk::BioPtr bio = make(0, 0);
+    bio->absorb(make(4096, 1));
+    // The third bio absorbed the next two before joining: its chain
+    // follows it.
+    blk::BioPtr carrier = make(8192, 2);
+    carrier->absorb(make(12288, 3));
+    carrier->absorb(make(16384, 4));
+    bio->absorb(std::move(carrier));
+    bio->absorb(make(20480, 5));
+    EXPECT_EQ(bio->size, 6u * 4096);
     bio->runCompletions();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    // Every callback sees the merged request, not its own bio.
+    EXPECT_EQ(args, (std::vector<const blk::Bio *>(6, bio.get())));
+    // Running them leaves the chain as it was.
+    order.clear();
+    bio->runCompletions();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(Bio, AddCompletionOnEmptyBioBecomesPrimary)
+TEST(Bio, AbsorbedCompletionRunsWithoutAPrimaryOne)
 {
     blk::BioPool pool;
     blk::BioPtr bio =
         pool.make(blk::Op::Write, 0, 4096, cgroup::kRoot);
-    EXPECT_FALSE(bio->hasCompletion());
+    EXPECT_FALSE(bio->onComplete);
     int hits = 0;
-    bio->addCompletion(
-        [&hits](const blk::Bio &) { ++hits; });
-    EXPECT_TRUE(bio->hasCompletion());
-    EXPECT_TRUE(bio->moreCompletions.empty()); // took the fast slot
+    const blk::Bio *arg = nullptr;
+    bio->absorb(pool.make(blk::Op::Write, 4096, 4096, cgroup::kRoot,
+                          [&](const blk::Bio &b) {
+                              ++hits;
+                              arg = &b;
+                          }));
+    // A bio without a completion may join a chain too.
+    bio->absorb(pool.make(blk::Op::Write, 8192, 4096, cgroup::kRoot));
     bio->runCompletions();
     EXPECT_EQ(hits, 1);
+    EXPECT_EQ(arg, bio.get());
 }
 
 // ---------------------------------------------------------------
@@ -374,6 +548,110 @@ TEST(BioPool, IdsStayMonotonicAcrossRecycling)
         ASSERT_EQ(ids[i], i + 1);
     // The loop really exercised recycling, not fresh slots.
     EXPECT_GT(blk::BioPool::local().recycled(), recycled_before);
+}
+
+// ---------------------------------------------------------------
+// Merge chains through a snapshot
+// ---------------------------------------------------------------
+
+/**
+ * A random reader and a sequential one, together six times deeper
+ * than an oldgen SSD's queue: hundreds of bios stay parked in the
+ * dispatch queue, and the sequential reader's contiguous bios
+ * back-merge there into chains of up to 128.
+ */
+struct MergeRig
+{
+    sim::Simulator sim{5};
+    std::unique_ptr<host::Host> host;
+    std::vector<std::unique_ptr<workload::FioWorkload>> jobs;
+
+    MergeRig()
+    {
+        core::LinearModelConfig model;
+        auto dev = host::makeNamedDevice("oldgen", sim, &model);
+        host::HostOptions opts;
+        opts.controller = *controllers::parseControllerSpec("none");
+        host = std::make_unique<host::Host>(sim, std::move(dev), opts);
+        for (const bool seq : {true, false}) {
+            workload::FioConfig fio;
+            fio.randomFraction = seq ? 0.0 : 1.0;
+            fio.iodepth = seq ? 256 : 512;
+            fio.offsetBase = seq ? 0 : uint64_t{1} << 40;
+            const auto cg = host->addWorkload(seq ? "seq" : "rand");
+            jobs.push_back(std::make_unique<workload::FioWorkload>(
+                sim, host->layer(), cg, fio));
+            host->track(*jobs.back());
+            jobs.back()->start();
+        }
+    }
+
+    /** One node of a parked bio's merge chain. */
+    struct Node
+    {
+        uint64_t id;
+        uint64_t offset;
+        uint32_t size;
+        bool completes;
+
+        bool operator==(const Node &) const = default;
+    };
+
+    /**
+     * The block layer's parked bios as their merge chains, read from
+     * the boxes of a layer snapshot (with no controller state, the
+     * boxes are exactly the dispatch queue's bios).
+     */
+    std::vector<std::vector<Node>>
+    parkedChains() const
+    {
+        sim::StateWriter w;
+        host->layer().saveState(w);
+        const sim::StateImage img = std::move(w).finish();
+        EXPECT_EQ(img.boxCount(), host->layer().dispatchQueueDepth());
+        std::vector<std::vector<Node>> out;
+        for (const auto &box : img.boxes) {
+            std::vector<Node> chain;
+            for (auto *b = static_cast<const blk::Bio *>(box.get());
+                 b != nullptr; b = b->merged.get()) {
+                chain.push_back({b->id, b->offset, b->size,
+                                 static_cast<bool>(b->onComplete)});
+            }
+            out.push_back(std::move(chain));
+        }
+        return out;
+    }
+};
+
+TEST(BioSnapshot, MergeChainsRoundTripAndBranchEqualsCold)
+{
+    const sim::Time t1 = 20 * sim::kMsec;
+    const sim::Time t2 = 60 * sim::kMsec;
+
+    MergeRig cold;
+    cold.sim.runUntil(t2);
+
+    MergeRig branched;
+    branched.sim.runUntil(t1);
+    const auto parked = branched.parkedChains();
+    size_t chained = 0;
+    for (const auto &chain : parked)
+        chained += chain.size() > 1;
+    ASSERT_GT(chained, 0u) << "no merge chain parked at the snapshot";
+
+    const host::HostSnapshot snap = branched.host->snapshot();
+    branched.sim.runUntil(t2);
+    branched.host->restore(snap);
+    EXPECT_EQ(branched.parkedChains(), parked);
+
+    branched.sim.runUntil(t2);
+    EXPECT_GT(cold.host->layer().mergedBios(), 0u);
+    for (size_t j = 0; j < cold.jobs.size(); ++j) {
+        EXPECT_EQ(branched.jobs[j]->completed(),
+                  cold.jobs[j]->completed());
+    }
+    EXPECT_EQ(branched.host->snapshot().image().bytes,
+              cold.host->snapshot().image().bytes);
 }
 
 } // namespace

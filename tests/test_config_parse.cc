@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "blk/block_layer.hh"
 #include "cgroup/cgroup_tree.hh"
@@ -93,7 +96,9 @@ TEST(ConfigParse, QosLineRejectsInvertedBounds)
         parseQosLine("min=150 max=50").has_value());
 }
 
-/** Infinite or NaN values are garbage, not unbounded settings. */
+/** Infinite or NaN values are garbage, not unbounded settings; a
+ *  finite value past its field's range is an error naming the key,
+ *  not an undefined cast. */
 TEST(ConfigParse, NonFiniteValuesRejected)
 {
     EXPECT_FALSE(parseQosLine("min=inf max=inf").has_value());
@@ -101,6 +106,39 @@ TEST(ConfigParse, NonFiniteValuesRejected)
     EXPECT_FALSE(parseModelLine("rbps=inf").has_value());
     EXPECT_FALSE(
         controllers::parseControllerSpec("kyber rlat=inf").has_value());
+
+    constexpr auto spec = controllers::parseControllerSpec;
+    const struct
+    {
+        std::function<void()> parse;
+        const char *message;
+    } out_of_range[] = {
+        {[] { (void)parseQosLine("rlat=2e20"); },
+         "rlat: 2e+20 us is out of range (2^63 ns or more)"},
+        {[] { (void)parseQosLine("rpct=90 wlat=1e300"); },
+         "wlat: 1e+300 us is out of range"},
+        {[] { (void)spec("kyber rlat=1e300"); },
+         "rlat: 1e+300 us is out of range"},
+        {[] { (void)spec("kyber wdepth=1e10"); },
+         "wdepth: 10000000000 is out of range (max 4294967295)"},
+        {[] { (void)spec("bfq budget=2e19"); },
+         "budget: 2e+19 is out of range (max 18446744073709551615)"},
+        {[] { (void)spec("iocost period=1e16"); },
+         "period: 1e+16 us is out of range"},
+    };
+    for (const auto &c : out_of_range) {
+        try {
+            c.parse();
+            ADD_FAILURE() << "accepted: " << c.message;
+        } catch (const std::invalid_argument &err) {
+            EXPECT_NE(std::string(err.what()).find(c.message),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+    // The largest values that fit still parse.
+    EXPECT_TRUE(spec("kyber wdepth=4294967295.9"));
+    EXPECT_TRUE(parseQosLine("rlat=9223372036854774"));
 }
 
 TEST(ConfigParse, QosLineRoundTrips)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "blk/block_layer.hh"
 #include "cgroup/cgroup_tree.hh"
@@ -115,6 +116,16 @@ TEST(Factory, ParseControllerSpecLines)
         controllers::parseControllerSpec("kyber bogus=1"));
     EXPECT_FALSE(
         controllers::parseControllerSpec("iocost debt=bogus"));
+    // A count or time past its field's range throws naming the key.
+    for (const char *line :
+         {"kyber rlat=1e300", "kyber wdepth=1e10",
+          "mq-deadline batch=5e9", "bfq inject=1e10",
+          "iolatency mindepth=1e10", "iolatency maxdepth=1e10",
+          "iolatency window=1e300", "iocost period=1e300"}) {
+        EXPECT_THROW((void)controllers::parseControllerSpec(line),
+                     std::invalid_argument)
+            << line;
+    }
 }
 
 TEST(Factory, SpecConfigsReachControllers)

@@ -261,6 +261,14 @@ TEST(ScenarioSpec, ParseErrorsNameTheKey)
         {"job=web:bs=99999999999G", "bs"},
         {"job=web:bs=4G", "bs"},
         {"job=web:depth=4294967296", "depth"},
+        {"qos=rlat=2e20", "rlat: 2e+20 us is out of range"},
+        {"qos=wlat=1e300", "wlat: 1e+300 us is out of range"},
+        {"controller=kyber rlat=1e300",
+         "rlat: 1e+300 us is out of range"},
+        {"controller=kyber wdepth=1e10",
+         "wdepth: 10000000000 is out of range"},
+        {"controller=iocost rlat=2e20 min=25",
+         "rlat: 2e+20 us is out of range"},
     };
     for (const auto &c : bad) {
         try {
