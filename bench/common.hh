@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "sim/time.hh"
@@ -39,10 +40,10 @@ namespace iocost::bench {
  *                    write no file
  *   --help           print this flag list and exit
  *
- * An unknown flag or a malformed number is fatal before anything
- * runs, so a typo cannot start a long run with defaults. Layout
- * knobs (jobs/shards/faults) report to stderr so stdout stays
- * diffable across layouts.
+ * An unknown flag, a malformed number or a malformed fault plan is
+ * fatal before anything runs, so a typo cannot start a long run with
+ * defaults. Layout knobs (jobs/shards/faults) report to stderr so
+ * stdout stays diffable across layouts.
  */
 struct BenchArgs
 {
@@ -73,6 +74,7 @@ parseArgs(int argc, char **argv)
                     sim::narrow<unsigned>(sim::parseCount(next()));
             } else if (arg == "--faults") {
                 args.faults = next();
+                (void)sim::FaultPlan::parse(args.faults);
             } else if (arg == "--max-hosts") {
                 args.maxHosts = sim::parseCount(next());
             } else if (arg == "--out") {

@@ -10,92 +10,13 @@
  * no proportional interface), blk-throttle and iocost hit 2:1.
  */
 
-#include <memory>
-
-#include "bench/common.hh"
-#include "controllers/blk_throttle.hh"
-#include "controllers/io_latency.hh"
-#include "device/device_profiles.hh"
-#include "device/ssd_model.hh"
-#include "host/host.hh"
-#include "profile/device_profiler.hh"
-#include "workload/fio_workload.hh"
-
-namespace {
-
-using namespace iocost;
-
-struct Outcome
-{
-    double hiIops;
-    double loIops;
-    sim::Time hiP50;
-    sim::Time loP50;
-};
-
-Outcome
-run(const std::string &mechanism)
-{
-    sim::Simulator sim(1010);
-    const device::SsdSpec spec = device::oldGenSsd();
-
-    host::HostOptions opts;
-    opts.controller = mechanism;
-    const auto &prof = profile::DeviceProfiler::profileSsd(spec);
-    opts.controller.iocost.model =
-        core::CostModel::fromConfig(prof.model);
-    opts.controller.iocost.qos.readLatTarget = 250 * sim::kUsec;
-    opts.controller.iocost.qos.writeLatTarget = 2 * sim::kMsec;
-    opts.controller.iocost.qos.period = 10 * sim::kMsec;
-    opts.controller.iocost.qos.vrateMin = 0.25;
-    opts.controller.iocost.qos.vrateMax = 1.0;
-
-    host::Host host(sim,
-                    std::make_unique<device::SsdModel>(sim, spec),
-                    opts);
-    const auto hi = host.addWorkload("high-priority", 200);
-    const auto lo = host.addWorkload("low-priority", 100);
-
-    if (mechanism == "blk-throttle") {
-        // Static limits preserving the 2:1 split of a conservative
-        // share of device capacity (the paper's configuration).
-        auto *thr = dynamic_cast<controllers::BlkThrottle *>(
-            host.layer().controller());
-        const double cap = prof.randReadIops * 0.7;
-        thr->setLimits(hi, {.riops = cap * 2 / 3});
-        thr->setLimits(lo, {.riops = cap * 1 / 3});
-    } else if (mechanism == "iolatency") {
-        // Best-effort attempt at a 2:1 distribution via latency
-        // targets (no proportional interface exists).
-        auto *iolat = dynamic_cast<controllers::IoLatency *>(
-            host.layer().controller());
-        iolat->setTarget(hi, 200 * sim::kUsec);
-        iolat->setTarget(lo, 400 * sim::kUsec);
-    }
-
-    workload::FioConfig cfg;
-    cfg.arrival = workload::Arrival::LatencyGoverned;
-    cfg.latencyTarget = 200 * sim::kUsec;
-    cfg.governMaxDepth = 16;
-    workload::FioWorkload hij(sim, host.layer(), hi, cfg);
-    workload::FioWorkload loj(sim, host.layer(), lo, cfg);
-    hij.start();
-    loj.start();
-    sim.runUntil(5 * sim::kSec);
-    hij.resetStats();
-    loj.resetStats();
-    sim.runUntil(25 * sim::kSec);
-
-    return Outcome{hij.iops(), loj.iops(),
-                   hij.latency().quantile(0.5),
-                   loj.latency().quantile(0.5)};
-}
-
-} // namespace
+#include "bench/spec_table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace iocost;
+    const bench::BenchArgs args = bench::parseArgs(argc, argv);
     bench::banner(
         "Figure 10: Proportional control (target hi:lo = 2:1)",
         "Two p50<200us load-shedding 4k random readers on the "
@@ -103,18 +24,35 @@ main()
         "iolatency skew far above 2:1; blk-throttle and iocost\n"
         "hold 2:1.");
 
-    bench::Table table({"Mechanism", "Hi IOPS", "Lo IOPS",
-                        "Ratio (target 2.0)", "Hi p50", "Lo p50"});
-    for (const std::string name :
-         {"bfq", "blk-throttle", "iolatency", "iocost"}) {
-        const Outcome o = run(name);
-        table.row({name, bench::fmtCount(o.hiIops),
-                   bench::fmtCount(o.loIops),
-                   bench::fmt("%.1f", o.hiIops /
-                                          std::max(1.0, o.loIops)),
-                   bench::fmtTime(o.hiP50),
-                   bench::fmtTime(o.loP50)});
-    }
-    table.print();
+    const std::string base =
+        "device=oldgen;seed=1010;seconds=20;warmup=5s;controller=";
+    const std::string hi =
+        ";job=high-priority:weight=200:latency_target=200us:depth=16";
+    const std::string lo =
+        ";job=low-priority:weight=100:latency_target=200us:depth=16";
+    bench::printRows(
+        args,
+        {"Mechanism", "Hi IOPS", "Lo IOPS", "Ratio (target 2.0)",
+         "Hi p50", "Lo p50"},
+        {{{"bfq"}, base + "bfq" + hi + lo},
+         // Static limits preserving the 2:1 split of a conservative
+         // 70% of the profiled random-read IOPS (the paper's setup).
+         {{"blk-throttle"}, base + "blk-throttle" + hi +
+                                ":io.max=riops=35440.65" + lo +
+                                ":io.max=riops=17720.325"},
+         // Best-effort attempt at a 2:1 distribution via latency
+         // targets (no proportional interface exists).
+         {{"iolatency"}, base + "iolatency" + hi +
+                             ":io.latency=target=200" + lo +
+                             ":io.latency=target=400"},
+         {{"iocost"}, base + "iocost rlat=250 wlat=2000 min=25 max=100 "
+                             "period=10000" + hi + lo}},
+        [](size_t, const host::ScenarioHost &h) {
+            return std::vector<std::string>{
+                bench::fmtCount(h.iops(0)), bench::fmtCount(h.iops(1)),
+                bench::fmt("%.1f", h.iops(0) / std::max(1.0, h.iops(1))),
+                bench::fmtTime(h.latency(0).quantile(0.5)),
+                bench::fmtTime(h.latency(1).quantile(0.5))};
+        });
     return 0;
 }

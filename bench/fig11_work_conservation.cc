@@ -13,96 +13,13 @@
  * both conserve work while holding latency.
  */
 
-#include <memory>
-
-#include "bench/common.hh"
-#include "controllers/blk_throttle.hh"
-#include "controllers/io_latency.hh"
-#include "device/device_profiles.hh"
-#include "device/ssd_model.hh"
-#include "host/host.hh"
-#include "profile/device_profiler.hh"
-#include "workload/fio_workload.hh"
-
-namespace {
-
-using namespace iocost;
-
-struct Outcome
-{
-    double hiIops;
-    double loIops;
-    double hiLatMean;
-    double hiLatStddev;
-};
-
-Outcome
-run(const std::string &mechanism)
-{
-    sim::Simulator sim(1111);
-    const device::SsdSpec spec = device::oldGenSsd();
-
-    host::HostOptions opts;
-    opts.controller = mechanism;
-    const auto &prof = profile::DeviceProfiler::profileSsd(spec);
-    opts.controller.iocost.model =
-        core::CostModel::fromConfig(prof.model);
-    opts.controller.iocost.qos.readLatTarget = 250 * sim::kUsec;
-    opts.controller.iocost.qos.writeLatTarget = 2 * sim::kMsec;
-    opts.controller.iocost.qos.period = 10 * sim::kMsec;
-    opts.controller.iocost.qos.vrateMin = 0.25;
-    opts.controller.iocost.qos.vrateMax = 1.0;
-
-    host::Host host(sim,
-                    std::make_unique<device::SsdModel>(sim, spec),
-                    opts);
-    const auto hi = host.addWorkload("high-priority", 200);
-    const auto lo = host.addWorkload("low-priority", 100);
-
-    if (mechanism == "blk-throttle") {
-        auto *thr = dynamic_cast<controllers::BlkThrottle *>(
-            host.layer().controller());
-        const double cap = prof.randReadIops * 0.7;
-        thr->setLimits(hi, {.riops = cap * 2 / 3});
-        thr->setLimits(lo, {.riops = cap * 1 / 3});
-    } else if (mechanism == "iolatency") {
-        auto *iolat = dynamic_cast<controllers::IoLatency *>(
-            host.layer().controller());
-        iolat->setTarget(hi, 200 * sim::kUsec);
-        iolat->setTarget(lo, 400 * sim::kUsec);
-    }
-
-    // High priority: closed loop, 100us think time.
-    workload::FioConfig hi_cfg;
-    hi_cfg.arrival = workload::Arrival::ThinkTime;
-    hi_cfg.thinkTime = 100 * sim::kUsec;
-    hi_cfg.iodepth = 1;
-    workload::FioWorkload hij(sim, host.layer(), hi, hi_cfg);
-
-    // Low priority: the p50<200us load shedder from Fig. 10; it
-    // should expand into all slack capacity.
-    workload::FioConfig lo_cfg;
-    lo_cfg.arrival = workload::Arrival::LatencyGoverned;
-    lo_cfg.latencyTarget = 200 * sim::kUsec;
-    lo_cfg.governMaxDepth = 16;
-    workload::FioWorkload loj(sim, host.layer(), lo, lo_cfg);
-
-    hij.start();
-    loj.start();
-    sim.runUntil(5 * sim::kSec);
-    hij.resetStats();
-    loj.resetStats();
-    sim.runUntil(25 * sim::kSec);
-
-    return Outcome{hij.iops(), loj.iops(), hij.latency().mean(),
-                   hij.latency().stddev()};
-}
-
-} // namespace
+#include "bench/spec_table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace iocost;
+    const bench::BenchArgs args = bench::parseArgs(argc, argv);
     bench::banner(
         "Figure 11: Work conservation",
         "High-priority 100us-think-time reader + low-priority load "
@@ -111,16 +28,34 @@ main()
         "blk-throttle; bfq's high-priority latency is noisy (large "
         "stddev).");
 
-    bench::Table table({"Mechanism", "Hi IOPS", "Lo IOPS",
-                        "Hi lat mean", "Hi lat stddev"});
-    for (const std::string name :
-         {"bfq", "blk-throttle", "iolatency", "iocost"}) {
-        const Outcome o = run(name);
-        table.row({name, bench::fmtCount(o.hiIops),
-                   bench::fmtCount(o.loIops),
-                   bench::fmt("%.0fus", o.hiLatMean / 1000.0),
-                   bench::fmt("%.0fus", o.hiLatStddev / 1000.0)});
-    }
-    table.print();
+    const std::string base =
+        "device=oldgen;seed=1111;seconds=20;warmup=5s;controller=";
+    // High priority: closed loop, 100us think time.
+    const std::string hi =
+        ";job=high-priority:weight=200:thinktime=100us:depth=1";
+    // Low priority: the p50<200us load shedder from Fig. 10; it
+    // should expand into all slack capacity.
+    const std::string lo =
+        ";job=low-priority:weight=100:latency_target=200us:depth=16";
+    // blk-throttle and iolatency keep Fig. 10's limits and targets.
+    bench::printRows(
+        args,
+        {"Mechanism", "Hi IOPS", "Lo IOPS", "Hi lat mean",
+         "Hi lat stddev"},
+        {{{"bfq"}, base + "bfq" + hi + lo},
+         {{"blk-throttle"}, base + "blk-throttle" + hi +
+                                ":io.max=riops=35440.65" + lo +
+                                ":io.max=riops=17720.325"},
+         {{"iolatency"}, base + "iolatency" + hi +
+                             ":io.latency=target=200" + lo +
+                             ":io.latency=target=400"},
+         {{"iocost"}, base + "iocost rlat=250 wlat=2000 min=25 max=100 "
+                             "period=10000" + hi + lo}},
+        [](size_t, const host::ScenarioHost &h) {
+            return std::vector<std::string>{
+                bench::fmtCount(h.iops(0)), bench::fmtCount(h.iops(1)),
+                bench::fmt("%.0fus", h.latency(0).mean() / 1000.0),
+                bench::fmt("%.0fus", h.latency(0).stddev() / 1000.0)};
+        });
     return 0;
 }

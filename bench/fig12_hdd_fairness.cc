@@ -12,132 +12,65 @@
  * holds ~2:1 everywhere by pricing occupancy.
  */
 
-#include <memory>
-
-#include "bench/common.hh"
-#include "device/device_profiles.hh"
-#include "device/hdd_model.hh"
-#include "host/host.hh"
-#include "profile/device_profiler.hh"
-#include "workload/fio_workload.hh"
-
-namespace {
-
-using namespace iocost;
-
-double
-standalonePeak(bool random)
-{
-    sim::Simulator sim(1212);
-    device::HddModel device(sim, device::nearlineHdd());
-    cgroup::CgroupTree tree;
-    blk::BlockLayer layer(sim, device, tree);
-    workload::FioConfig cfg;
-    cfg.randomFraction = random ? 1.0 : 0.0;
-    cfg.iodepth = 12;
-    workload::FioWorkload job(sim, layer, cgroup::kRoot, cfg);
-    job.start();
-    sim.runUntil(30 * sim::kSec);
-    return job.iops();
-}
-
-struct Outcome
-{
-    double hiNorm;
-    double loNorm;
-};
-
-Outcome
-run(const std::string &mechanism, bool hi_random, bool lo_random,
-    double peak_rand, double peak_seq)
-{
-    sim::Simulator sim(1213);
-    host::HostOptions opts;
-    opts.controller = mechanism;
-    const auto &prof =
-        profile::DeviceProfiler::profileHdd(device::nearlineHdd());
-    opts.controller.iocost.model =
-        core::CostModel::fromConfig(prof.model);
-    opts.controller.iocost.qos.readLatTarget = 40 * sim::kMsec;
-    opts.controller.iocost.qos.writeLatTarget = 80 * sim::kMsec;
-    opts.controller.iocost.qos.period = 100 * sim::kMsec;
-    opts.controller.iocost.qos.vrateMin = 0.25;
-    opts.controller.iocost.qos.vrateMax = 0.8; // tuned ceiling (§3.4): interleaved capacity < profiled single-stream peak
-
-    host::Host host(
-        sim,
-        std::make_unique<device::HddModel>(sim,
-                                           device::nearlineHdd()),
-        opts);
-    const auto hi = host.addWorkload("high-weight", 200);
-    const auto lo = host.addWorkload("low-weight", 100);
-
-    workload::FioConfig hi_cfg;
-    hi_cfg.randomFraction = hi_random ? 1.0 : 0.0;
-    hi_cfg.iodepth = 16;
-    hi_cfg.offsetBase = 0;
-    workload::FioConfig lo_cfg;
-    lo_cfg.randomFraction = lo_random ? 1.0 : 0.0;
-    lo_cfg.iodepth = 16;
-    lo_cfg.offsetBase = 1ull << 40; // distinct file/partition
-    workload::FioWorkload hij(sim, host.layer(), hi, hi_cfg);
-    workload::FioWorkload loj(sim, host.layer(), lo, lo_cfg);
-    hij.start();
-    loj.start();
-    sim.runUntil(10 * sim::kSec);
-    hij.resetStats();
-    loj.resetStats();
-    sim.runUntil(70 * sim::kSec);
-
-    return Outcome{
-        hij.iops() / (hi_random ? peak_rand : peak_seq),
-        loj.iops() / (lo_random ? peak_rand : peak_seq)};
-}
-
-} // namespace
+#include "bench/spec_table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    using namespace iocost;
+    const bench::BenchArgs args = bench::parseArgs(argc, argv);
     bench::banner(
         "Figure 12: Fairness on a spinning disk (weights 2:1)",
         "Throughput normalized to each access pattern's standalone "
         "peak.\nExpected shape: iocost ~2:1 in all pairings; bfq "
         "ok for seq/seq only;\nmq-deadline unfair throughout.");
 
-    const double peak_rand = standalonePeak(true);
-    const double peak_seq = standalonePeak(false);
+    // Each access pattern's standalone peak: one reader, no control.
+    const char *const patterns[] = {"rand", "seq"};
+    const std::string solo = "device=hdd;controller=none;seed=1212;"
+                             "seconds=30;warmup=0;job=peak:depth=12:pattern=";
+    const std::vector<double> peak = bench::runRows(
+        args, {solo + patterns[0], solo + patterns[1]},
+        [](size_t, const host::ScenarioHost &h) { return h.iops(0); });
     std::printf("Standalone peaks: random %s IOPS, sequential %s "
                 "IOPS\n\n",
-                bench::fmtCount(peak_rand).c_str(),
-                bench::fmtCount(peak_seq).c_str());
+                bench::fmtCount(peak[0]).c_str(),
+                bench::fmtCount(peak[1]).c_str());
 
-    struct Scenario
-    {
-        const char *name;
-        bool hiRandom;
-        bool loRandom;
+    const char *const mechanisms[][2] = {
+        {"mq-deadline", "mq-deadline"},
+        {"bfq", "bfq"},
+        // Tuned vrate ceiling (§3.4): interleaved capacity < profiled
+        // single-stream peak.
+        {"iocost",
+         "iocost rlat=40000 wlat=80000 min=25 max=80 period=100000"},
     };
-    const Scenario scenarios[3] = {{"rand/rand", true, true},
-                                   {"rand/seq", true, false},
-                                   {"seq/seq", false, false}};
-
-    bench::Table table({"Mechanism", "Scenario",
-                        "Hi norm. tput", "Lo norm. tput",
-                        "Norm. ratio (target 2.0)"});
-    for (const std::string name :
-         {"mq-deadline", "bfq", "iocost"}) {
-        for (const Scenario &sc : scenarios) {
-            const Outcome o = run(name, sc.hiRandom, sc.loRandom,
-                                  peak_rand, peak_seq);
-            table.row({name, sc.name,
-                       bench::fmt("%.2f", o.hiNorm),
-                       bench::fmt("%.2f", o.loNorm),
-                       bench::fmt("%.1f",
-                                  o.hiNorm /
-                                      std::max(1e-9, o.loNorm))});
+    // The high- and low-weight readers' patterns.
+    const size_t pairings[][2] = {{0, 0}, {0, 1}, {1, 1}};
+    std::vector<bench::SpecRow> rows;
+    for (const auto &[name, controller] : mechanisms) {
+        for (const auto &[hi, lo] : pairings) {
+            rows.push_back(
+                {{name, std::string(patterns[hi]) + "/" + patterns[lo]},
+                 std::string("device=hdd;seed=1213;seconds=60;warmup=10s;"
+                             "controller=") +
+                     controller +
+                     ";job=high-weight:weight=200:depth=16:pattern=" +
+                     patterns[hi] +
+                     ";job=low-weight:weight=100:depth=16:pattern=" +
+                     patterns[lo]});
         }
     }
-    table.print();
+    bench::printRows(
+        args,
+        {"Mechanism", "Scenario", "Hi norm. tput", "Lo norm. tput",
+         "Norm. ratio (target 2.0)"},
+        rows, [&](size_t r, const host::ScenarioHost &h) {
+            const double hi = h.iops(0) / peak[pairings[r % 3][0]];
+            const double lo = h.iops(1) / peak[pairings[r % 3][1]];
+            return std::vector<std::string>{
+                bench::fmt("%.2f", hi), bench::fmt("%.2f", lo),
+                bench::fmt("%.1f", hi / std::max(1e-9, lo))};
+        });
     return 0;
 }

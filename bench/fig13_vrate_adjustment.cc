@@ -21,8 +21,9 @@
 #include "workload/fio_workload.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     using namespace iocost;
 
     bench::banner(

@@ -99,8 +99,9 @@ run(const std::string &mechanism, const device::SsdSpec &spec,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     bench::banner(
         "Figure 14: RPS of a latency-sensitive web server stacked "
         "with a memory leak",

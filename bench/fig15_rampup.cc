@@ -146,8 +146,9 @@ run(const Variant &v)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     bench::banner(
         "Figure 15: Ramp-up time 40% -> 80% load in an "
         "overcommitted environment",

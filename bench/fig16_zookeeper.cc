@@ -146,8 +146,9 @@ run(const std::string &mechanism)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     bench::banner(
         "Figure 16: ZooKeeper-like stacked ensembles, 1s SLO "
         "violations (well-behaved ensembles)",

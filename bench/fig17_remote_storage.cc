@@ -93,8 +93,9 @@ run(const device::RemoteSpec &spec, const std::string &mechanism,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     bench::banner(
         "Figure 17: Latency-sensitive RPS with a memory leak on "
         "cloud volumes",

@@ -13,8 +13,9 @@
 #include "profile/device_profiler.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     using namespace iocost;
 
     bench::banner(

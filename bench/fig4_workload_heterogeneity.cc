@@ -53,8 +53,9 @@ constexpr std::array<Archetype, 7> kArchetypes = {{
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     bench::banner(
         "Figure 4: IO workload heterogeneity",
         "Measured per-second read/write and random/sequential "

@@ -116,37 +116,41 @@ operator new[](std::size_t size, std::align_val_t align)
     return ::operator new(size, align);
 }
 
-void
+// The deletes stay out of line. Inlined into a caller, each becomes a
+// bare free() of memory from ::operator new, which GCC reports as
+// -Wmismatched-new-delete; as a call, the pairing it sees is new with
+// delete, which is what the program does.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::align_val_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::align_val_t) noexcept
 {
     std::free(p);

@@ -10,8 +10,9 @@
 #include "controllers/factory.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
+    (void)iocost::bench::parseArgs(argc, argv); // rejects unknown flags
     using namespace iocost;
 
     bench::banner("Table 1: Linux IO control mechanisms and "

@@ -9,8 +9,8 @@
  *   phase 3  + memory leak in system.slice  (debt mechanism)
  *   phase 4  leak OOM-killed                (recovery)
  *
- * The host is configured with a cgroupfs-style text block exactly as
- * a production machine would be.
+ * The host's cgroups get the settings a production machine writes
+ * to their io.weight and memory.low files.
  *
  * Build & run:  ./build/examples/resctl_demo
  */
@@ -20,7 +20,6 @@
 
 #include "device/device_profiles.hh"
 #include "device/ssd_model.hh"
-#include "host/config.hh"
 #include "host/host.hh"
 #include "profile/device_profiler.hh"
 #include "workload/fio_workload.hh"
@@ -76,28 +75,14 @@ main()
                     std::make_unique<device::SsdModel>(sim, spec),
                     opts);
 
-    // Production-style configuration, one echo per line.
-    const auto cfg_result = host::applyConfig(host, R"(
-        workload.slice              io.weight=500
-        workload.slice/web          io.weight=200 memory.low=2G
-        workload.slice/batch        io.weight=50
-        system.slice                io.weight=50
-        system.slice/leaky-daemon   io.weight=100
-    )");
-    if (!cfg_result) {
-        std::fprintf(stderr, "config error: %s\n",
-                     cfg_result.error.c_str());
-        return 1;
-    }
-    std::printf("applied %u cgroup config lines\n\n",
-                cfg_result.applied);
-
-    const auto web_cg =
-        host::findCgroup(host.tree(), "workload.slice/web");
-    const auto batch_cg =
-        host::findCgroup(host.tree(), "workload.slice/batch");
-    const auto leak_cg = host::findCgroup(
-        host.tree(), "system.slice/leaky-daemon");
+    // What a production host writes to its cgroups' io.weight and
+    // memory.low files: web is protected, the system slice is light.
+    host.tree().setWeight(host.workload(), 500);
+    const auto web_cg = host.addWorkload("web", 200);
+    host.mm().setProtection(web_cg, 2ull << 30);
+    const auto batch_cg = host.addWorkload("batch", 50);
+    host.tree().setWeight(host.system(), 50);
+    const auto leak_cg = host.addSystemService("leaky-daemon", 100);
 
     workload::LatencyServerConfig web_cfg;
     web_cfg.name = "web";

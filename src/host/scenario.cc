@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -31,6 +32,36 @@ trim(const std::string &s)
         return "";
     const size_t e = s.find_last_not_of(" \t\r\n");
     return s.substr(b, e - b + 1);
+}
+
+/** The job keys that choose an arrival mode; a job takes one. */
+constexpr std::pair<const char *, workload::Arrival> kArrivalKeys[] = {
+    {"rate", workload::Arrival::Rate},
+    {"thinktime", workload::Arrival::ThinkTime},
+    {"latency_target", workload::Arrival::LatencyGoverned},
+};
+
+void
+setArrival(workload::FioConfig &fio, workload::Arrival arrival)
+{
+    for (const auto &[key, mode] : kArrivalKeys) {
+        if (fio.arrival == mode && mode != arrival)
+            bad(std::string("conflicts with ") + key + "=");
+    }
+    fio.arrival = arrival;
+}
+
+/** An io.latency line without MAJ:MIN: target=<us>. */
+sim::Time
+parseIoLatency(const std::string &value)
+{
+    const std::vector<std::string> toks = core::configTokens(value);
+    std::string key, number;
+    double us = 0;
+    if (toks.size() != 1 || !core::configKeyValue(toks[0], key, number) ||
+        key != "target" || !core::configPositiveNumber(number, us))
+        bad("expected target=<us>");
+    return core::configMicros(key, us);
 }
 
 void
@@ -65,10 +96,27 @@ applyJobKey(JobSpec &job, const std::string &key,
         else
             bad("expected rand or seq");
     } else if (key == "rate") {
-        job.fio.arrival = workload::Arrival::Rate;
+        setArrival(job.fio, workload::Arrival::Rate);
         job.fio.ratePerSec = sim::parseNumber(value);
         if (!(job.fio.ratePerSec > 0))
             bad("must be positive");
+    } else if (key == "thinktime") {
+        setArrival(job.fio, workload::Arrival::ThinkTime);
+        job.fio.thinkTime = sim::parseTime(value);
+    } else if (key == "latency_target") {
+        setArrival(job.fio, workload::Arrival::LatencyGoverned);
+        job.fio.latencyTarget = sim::parseTime(value);
+        if (job.fio.latencyTarget == 0)
+            bad("must be positive");
+    } else if (key == "io.max") {
+        // The blk-throttle controller line reads the same keys.
+        const auto spec =
+            controllers::parseControllerSpec("blk-throttle " + value);
+        if (!spec || core::configTokens(value).empty())
+            bad("expected riops=, wiops=, rbps= or wbps= values");
+        job.ioMax = spec->throttle.defaultLimits;
+    } else if (key == "io.latency") {
+        job.ioLatencyTarget = parseIoLatency(value);
     } else if (key == "buffered") {
         job.buffered = sim::parseCount(value) != 0;
     } else if (key == "fsync") {
@@ -105,6 +153,8 @@ applyScenarioKey(ScenarioSpec &sc, const std::string &key,
         sc.faults = value;
     } else if (key == "seconds") {
         sc.seconds = sim::parseNumber(value);
+    } else if (key == "warmup") {
+        sc.warmup = sim::parseTime(value);
     } else if (key == "seed") {
         sc.seed = sim::parseCount(value);
     } else if (key == "pagecache") {
@@ -132,6 +182,18 @@ applyScenarioKey(ScenarioSpec &sc, const std::string &key,
     } else {
         bad("unknown key");
     }
+}
+
+/** io.max and io.latency are read only by their own controllers. */
+void
+checkCgroupKeys(const JobSpec &job, const std::string &mechanism)
+{
+    if (job.ioMax && mechanism != "blk-throttle")
+        bad("scenario: job \"" + job.name +
+            "\": io.max needs controller=blk-throttle");
+    if (job.ioLatencyTarget != 0 && mechanism != "iolatency")
+        bad("scenario: job \"" + job.name +
+            "\": io.latency needs controller=iolatency");
 }
 
 /** The model a scenario's iocost defaults to: its model line, else
@@ -198,6 +260,8 @@ parseJob(const std::string &text)
             bad("bad job \"" + text + "\": " + key + ": " + err.what());
         }
     }
+    if (job.fio.arrival == workload::Arrival::LatencyGoverned)
+        job.fio.governMaxDepth = job.fio.iodepth;
     return job;
 }
 
@@ -206,6 +270,13 @@ ScenarioSpec::duration() const
 {
     return static_cast<sim::Time>(seconds *
                                   static_cast<double>(sim::kSec));
+}
+
+sim::Time
+ScenarioSpec::warmupTime() const
+{
+    return warmup ? *warmup
+                  : static_cast<sim::Time>(0.1 * seconds * sim::kSec);
 }
 
 ScenarioSpec
@@ -247,6 +318,11 @@ ScenarioSpec::normalize()
         jobs.push_back("batch:weight=100:depth=32");
     }
     const sim::Time total = duration();
+    if (warmup && *warmup > std::numeric_limits<sim::Time>::max() - total)
+        bad("scenario: warmup out of range");
+    const auto ctl = controllers::parseControllerSpec(controller);
+    for (const JobSpec &job : parsedJobs())
+        checkCgroupKeys(job, ctl ? ctl->name : controller);
     if (marks.empty()) {
         // Quarter points: a query's replay never spans more than a
         // quarter of the run.
@@ -271,10 +347,15 @@ ScenarioSpec::canonical() const
     char buf[64];
     std::snprintf(buf, sizeof buf, ";seconds=%.17g", seconds);
     out += buf;
+    if (warmup) {
+        std::snprintf(buf, sizeof buf, ";warmup=%lldns",
+                      static_cast<long long>(*warmup));
+        out += buf;
+    }
     std::snprintf(buf, sizeof buf, ";seed=%" PRIu64, seed);
     out += buf;
-    // Emitted only when set: pre-pagecache canonical strings (and
-    // the cache hashes derived from them) must not change.
+    // Emitted only when set, like warmup= above: older canonical
+    // strings (and the cache hashes derived from them) must not change.
     if (pagecacheBytes != 0) {
         std::snprintf(buf, sizeof buf, ";pagecache=%" PRIu64,
                       pagecacheBytes);
@@ -393,6 +474,16 @@ ScenarioHost::ScenarioHost(sim::Simulator &sim, const ScenarioSpec &sc,
     for (size_t j = 0; j < jobs_.size(); ++j) {
         const JobSpec &job = jobs_[j];
         cgs_.push_back(host_->addWorkload(job.name, job.weight));
+        checkCgroupKeys(job, controller_.name);
+        blk::IoController *ctl = host_->layer().controller();
+        if (job.ioMax) {
+            static_cast<controllers::BlkThrottle *>(ctl)->setLimits(
+                cgs_[j], *job.ioMax);
+        }
+        if (job.ioLatencyTarget != 0) {
+            static_cast<controllers::IoLatency *>(ctl)->setTarget(
+                cgs_[j], job.ioLatencyTarget);
+        }
         if (!job.buffered) {
             fio_[j] = std::make_unique<workload::FioWorkload>(
                 sim, host_->layer(), cgs_[j], job.fio);
@@ -445,6 +536,16 @@ ScenarioHost::resetStats()
     }
 }
 
+void
+runMeasured(sim::Simulator &sim, ScenarioHost &host,
+            const ScenarioSpec &sc)
+{
+    const sim::Time warmup = sc.warmupTime();
+    sim.runUntil(warmup);
+    host.resetStats();
+    sim.runUntil(warmup + sc.duration());
+}
+
 SweepOptions
 scenarioSweep(const ScenarioSpec &sc, std::vector<std::string> specs,
               core::LinearModelConfig *model_out)
@@ -455,6 +556,10 @@ scenarioSweep(const ScenarioSpec &sc, std::vector<std::string> specs,
         if (job.buffered) {
             bad("buffered jobs are not supported under --sweep (the "
                 "shadow-lane engine has no page cache)");
+        }
+        if (job.ioMax || job.ioLatencyTarget != 0) {
+            bad("io.max and io.latency jobs are not supported under "
+                "--sweep (each lane runs its own controller)");
         }
     }
     const core::LinearModelConfig model =
@@ -499,8 +604,9 @@ readScenarioFlag(ScenarioSpec &sc, int argc, char **argv, int &i)
         {"--device", "device"},       {"--controller", "controller"},
         {"--model", "model"},         {"--qos", "qos"},
         {"--faults", "faults"},       {"--seconds", "seconds"},
-        {"--seed", "seed"},           {"--pagecache", "pagecache"},
-        {"--dirty-ratio", "dirty_ratio"}, {"--job", "job"},
+        {"--warmup", "warmup"},       {"--seed", "seed"},
+        {"--pagecache", "pagecache"}, {"--dirty-ratio", "dirty_ratio"},
+        {"--job", "job"},
     };
     const std::string flag = argv[i];
     for (const auto &[name, key] : kFlags) {

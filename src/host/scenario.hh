@@ -26,6 +26,13 @@
  *                          with no QoS keys runs min=50 max=100
  *   faults=<sim::FaultPlan spec>    (CLI: --faults) default: healthy
  *   seconds=10             simulated run length (CLI: --seconds)
+ *   warmup=5s              where iocost_sim and the figure tables
+ *                          reset stats before measuring seconds=;
+ *                          0 measures from the start (CLI:
+ *                          --warmup; default 10% of seconds=).
+ *                          iocost_mon and the what-if service ignore
+ *                          it: they measure from t=0 or a query's
+ *                          mark
  *   seed=42                (CLI: --seed)
  *   pagecache=512M         per-host page cache, K/M/G suffixes;
  *                          enables buffered jobs (CLI: --pagecache;
@@ -35,8 +42,11 @@
  *                          background writeback at half
  *                          (CLI: --dirty-ratio)
  *   job=<job spec>         repeatable (CLI: --job), grammar below
- *   marks=1s,2s,5s         what-if checkpoint marks (ns/us/ms/s
- *                          suffix, default ms); t=0 is always a mark
+ *   marks=1s,2s,5s         what-if checkpoint marks; t=0 is always
+ *                          a mark
+ *
+ * Times take an ns, us, ms or s suffix; a bare number is ms (not
+ * fio's us), so the figure tables write every unit out.
  *
  * Omitted jobs default to web:weight=200:depth=32 and
  * batch:weight=100:depth=32; omitted marks to the run's quarter
@@ -52,6 +62,21 @@
  *   pattern=rand|seq       (rand)
  *   rate=R                 open-loop arrivals at R > 0 IOs/s instead of a
  *                          saturating queue (direct jobs)
+ *   thinktime=T            closed loop: each of depth= streams waits T
+ *                          after a completion before its next IO
+ *   latency_target=T       closed loop at an adaptive concurrency that
+ *                          grows while the windowed p50 stays under
+ *                          T > 0 and sheds load when it does not;
+ *                          depth= caps the concurrency. rate=,
+ *                          thinktime= and latency_target= exclude
+ *                          each other
+ *   io.max=riops=N         blk-throttle limits of the job's cgroup:
+ *                          the kernel file's line without MAJ:MIN,
+ *                          space-separated riops/wiops/rbps/wbps
+ *                          (controller=blk-throttle only)
+ *   io.latency=target=US   iolatency target of the job's cgroup in
+ *                          microseconds, as in the kernel file
+ *                          (controller=iolatency only)
  *   buffered=0|1           route through the page cache: writes dirty
  *                          pages, reads hit or miss the cache
  *   fsync=N                fsync barrier every N writes (buffered)
@@ -67,6 +92,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +119,10 @@ struct JobSpec
     uint32_t fsyncEvery = 0;
     /** 0 keeps the workload's own default span. */
     uint64_t spanBytes = 0;
+    /** io.max of the job's cgroup (blk-throttle). */
+    std::optional<controllers::ThrottleLimits> ioMax;
+    /** io.latency target of the job's cgroup (iolatency); 0 = none. */
+    sim::Time ioLatencyTarget = 0;
 };
 
 /**
@@ -111,6 +141,8 @@ struct ScenarioSpec
     std::string qos;
     std::string faults;
     double seconds = 10.0;
+    /** Stats reset point of a measured run; unset = 10% of seconds. */
+    std::optional<sim::Time> warmup;
     uint64_t seed = 42;
 
     /** Page cache size (0 = none; buffered jobs then fail to
@@ -130,6 +162,10 @@ struct ScenarioSpec
     /** Simulated run length. */
     sim::Time duration() const;
 
+    /** The warm-up of a measured run: warmup= when set, else 10% of
+     *  the run length. */
+    sim::Time warmupTime() const;
+
     /**
      * Parse a spec and normalize it.
      * @throws std::invalid_argument on a malformed spec.
@@ -140,8 +176,9 @@ struct ScenarioSpec
      * Fill defaulted jobs/marks and canonicalize the mark list.
      * parse() normalizes automatically; callers assembling a spec
      * field by field must normalize before use.
-     * @throws std::invalid_argument on marks beyond the duration or
-     *         a non-positive duration.
+     * @throws std::invalid_argument on marks beyond the duration, a
+     *         non-positive duration, or an io.max / io.latency job
+     *         under a controller that does not read it.
      */
     void normalize();
 
@@ -237,14 +274,23 @@ class ScenarioHost
 };
 
 /**
+ * The measured run of iocost_sim and the figure tables: simulate to
+ * @p sc's warmupTime(), reset @p host's stats, then simulate the
+ * scenario's seconds.
+ */
+void runMeasured(sim::Simulator &sim, ScenarioHost &host,
+                 const ScenarioSpec &sc);
+
+/**
  * Sweep assembly for running each line of @p specs against @p sc's
  * device, faults and jobs: makeDevice builds the scenario's device and
  * tweakSpec applies ScenarioHost's defaulting (model and QoS lines,
  * device profile, defaultQos()) to every iocost line.
  * @param model_out receives the io.cost.model lines default to.
  * @throws std::invalid_argument on a bad device or model/qos line, an
- *         empty spec list, or a buffered job (sweep lanes have no
- *         page cache).
+ *         empty spec list, a buffered job (sweep lanes have no page
+ *         cache), or an io.max / io.latency job (each lane runs its
+ *         own controller).
  */
 SweepOptions scenarioSweep(const ScenarioSpec &sc,
                            std::vector<std::string> specs,
@@ -257,7 +303,7 @@ startSweepJobs(sim::Simulator &sim, SweepRunner &runner,
 
 /**
  * The single-host flags iocost_sim and iocost_mon share: --device,
- * --controller, --model, --qos, --faults, --seconds, --seed,
+ * --controller, --model, --qos, --faults, --seconds, --warmup, --seed,
  * --pagecache, --dirty-ratio and --job, each writing its scenario
  * key. Consumes argv[i] and its value (advancing @p i) when it is one
  * of them; values are validated as they are read.

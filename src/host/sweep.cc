@@ -6,17 +6,21 @@ namespace iocost::host {
 
 namespace {
 
+/** Parse and tweak one entry; every rejection names the entry. */
 controllers::ControllerSpec
 parseSpecOrThrow(const SweepOptions &opts, const std::string &line)
 {
-    std::optional<controllers::ControllerSpec> spec =
-        controllers::parseControllerSpec(line);
-    if (!spec) {
-        throw std::invalid_argument("sweep: bad controller spec: " +
-                                    line);
+    const std::string entry = "sweep: bad controller spec \"" + line + "\"";
+    std::optional<controllers::ControllerSpec> spec;
+    try {
+        spec = controllers::parseControllerSpec(line);
+        if (spec && opts.tweakSpec)
+            opts.tweakSpec(line, *spec);
+    } catch (const std::invalid_argument &err) {
+        throw std::invalid_argument(entry + ": " + err.what());
     }
-    if (opts.tweakSpec)
-        opts.tweakSpec(line, *spec);
+    if (!spec)
+        throw std::invalid_argument(entry);
     return *std::move(spec);
 }
 

@@ -235,12 +235,6 @@ DeviceProfiler::profileSsd(const device::SsdSpec &s)
 }
 
 const ProfileResult &
-DeviceProfiler::profileHdd(const device::HddSpec &s)
-{
-    return cachedProfile(s);
-}
-
-const ProfileResult &
 DeviceProfiler::profileRemote(const device::RemoteSpec &s)
 {
     return cachedProfile(s);

@@ -90,11 +90,6 @@ class DeviceProfiler
      *  spec. */
     static const ProfileResult &profileSsd(const device::SsdSpec &s);
 
-    /** Convenience: profile an HDD spec. Named specs come from the
-     *  table; other specs are profiled once and cached by the whole
-     *  spec. */
-    static const ProfileResult &profileHdd(const device::HddSpec &s);
-
     /** Convenience: profile a remote volume. Named specs come from
      *  the table; other specs are profiled once and cached by the
      *  whole spec. */

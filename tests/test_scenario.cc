@@ -60,10 +60,28 @@ TEST(SimParse, Bytes)
     for (const auto &c : ok)
         EXPECT_EQ(sim::parseBytes(c.text), c.want) << c.text;
     // The last three do not fit in 64 bits.
-    for (const char *bad : {"", "G", "-1K", "5X", "2Gb", "1T", "x", "inf",
-                            "nan", "infK", "99999999999G", "17179869184G",
-                            "1e20"})
+    for (const char *bad : {"", "G", "-1K", "5X", "2Gb", "1T", "x", "abc",
+                            "inf", "nan", "infK", "99999999999G",
+                            "17179869184G", "1e20"})
         EXPECT_THROW(sim::parseBytes(bad), std::invalid_argument) << bad;
+}
+
+/** Host-level sizes (the scenario's pagecache=) are sim::parseBytes values. */
+TEST(HostConfig, ParseSize)
+{
+    EXPECT_EQ(sim::parseBytes("100"), 100u);
+    EXPECT_EQ(sim::parseBytes("2K"), 2048u);
+    EXPECT_EQ(sim::parseBytes("3M"), 3ull << 20);
+    EXPECT_EQ(sim::parseBytes("2G"), 2ull << 30);
+    EXPECT_EQ(sim::parseBytes("1.5G"),
+              static_cast<uint64_t>(1.5 * (1ull << 30)));
+    for (const char *bad : {"abc", "5X", "", "2Gb"})
+        EXPECT_THROW(sim::parseBytes(bad), std::invalid_argument) << bad;
+
+    EXPECT_EQ(host::ScenarioSpec::parse("pagecache=2G").pagecacheBytes,
+              2ull << 30);
+    EXPECT_THROW((void)host::ScenarioSpec::parse("pagecache=2Gb"),
+                 std::invalid_argument);
 }
 
 TEST(SimParse, Numbers)
@@ -122,6 +140,37 @@ TEST(ParseJob, EveryKey)
     EXPECT_EQ(host::parseJob("a:rw=mixed").fio.readFraction, 0.5);
     EXPECT_EQ(host::parseJob("a:pattern=rand").fio.randomFraction, 1.0);
     EXPECT_FALSE(host::parseJob("a:buffered=0").buffered);
+    EXPECT_FALSE(d.ioMax.has_value());
+    EXPECT_EQ(d.ioLatencyTarget, 0);
+
+    const host::JobSpec think =
+        host::parseJob("t:thinktime=100us:depth=1");
+    EXPECT_EQ(think.fio.arrival, workload::Arrival::ThinkTime);
+    EXPECT_EQ(think.fio.thinkTime, 100 * sim::kUsec);
+    EXPECT_EQ(think.fio.iodepth, 1u);
+    EXPECT_EQ(host::parseJob("t:thinktime=0").fio.thinkTime, 0);
+    // A bare time is ms, as everywhere in the grammar.
+    EXPECT_EQ(host::parseJob("t:thinktime=2").fio.thinkTime,
+              2 * sim::kMsec);
+
+    // depth= caps the governed concurrency, before or after the key.
+    const host::JobSpec shed = host::parseJob(
+        "s:depth=16:latency_target=200us:io.max=riops=35440.65 "
+        "wiops=10 rbps=4e6 wbps=2e6:io.latency=target=400");
+    EXPECT_EQ(shed.fio.arrival, workload::Arrival::LatencyGoverned);
+    EXPECT_EQ(shed.fio.latencyTarget, 200 * sim::kUsec);
+    EXPECT_EQ(shed.fio.governMaxDepth, 16u);
+    EXPECT_EQ(host::parseJob("s:latency_target=1ms:depth=8")
+                  .fio.governMaxDepth,
+              8u);
+    ASSERT_TRUE(shed.ioMax.has_value());
+    EXPECT_EQ(shed.ioMax->riops, 35440.65);
+    EXPECT_EQ(shed.ioMax->wiops, 10.0);
+    EXPECT_EQ(shed.ioMax->rbps, 4e6);
+    EXPECT_EQ(shed.ioMax->wbps, 2e6);
+    EXPECT_EQ(shed.ioLatencyTarget, 400 * sim::kUsec);
+    // Unset io.max dimensions stay unlimited.
+    EXPECT_EQ(host::parseJob("m:io.max=wbps=1e6").ioMax->riops, 0.0);
 }
 
 /** Errors name the job and the offending key. */
@@ -146,6 +195,27 @@ TEST(ParseJob, Errors)
         {"web:rw=sideways", "rw"},        // bad enum
         {"web:pattern=zigzag", "pattern"}, //
         {"web:fsync=1.5", "fsync"},       //
+        {"web:thinktime=fast", "thinktime"},
+        {"web:thinktime=-1us", "thinktime"},
+        {"web:latency_target=0", "latency_target"}, // not positive
+        {"web:latency_target=0us", "latency_target"},
+        {"web:latency_target=5parsecs", "latency_target"},
+        {"web:rate=5:latency_target=1ms", "latency_target: conflicts "
+                                          "with rate="},
+        {"web:latency_target=1ms:thinktime=1ms", "thinktime: conflicts "
+                                                 "with latency_target="},
+        {"web:thinktime=1ms:rate=5", "rate: conflicts with thinktime="},
+        {"web:io.max=xiops=5", "io.max"},  // unknown io.max key
+        {"web:io.max=", "io.max"},         // no limits
+        {"web:io.max=riops", "io.max"},    //
+        {"web:io.max=riops=0", "io.max"},  // not positive
+        {"web:io.max=riops=-5", "io.max"}, //
+        {"web:io.latency=200", "io.latency"},
+        {"web:io.latency=target=0", "io.latency"},
+        {"web:io.latency=tgt=200", "io.latency"},
+        {"web:io.latency=target=200 target=300", "io.latency"},
+        {"web:io.latency=target=1e300", "target: 1e+300 us is out of "
+                                        "range"},
     };
     for (const auto &c : bad) {
         try {
@@ -237,6 +307,45 @@ TEST(ScenarioSpec, GoldenCanonicalAndHash)
     }
 }
 
+/**
+ * The keys the figure tables brought (warmup=, thinktime=,
+ * latency_target=, io.max=, io.latency=) appear in canonical() only
+ * when set, and a spec that uses all of them re-parses to itself.
+ */
+TEST(ScenarioSpec, FigureKeysCanonicalReparses)
+{
+    const host::ScenarioSpec sc = host::ScenarioSpec::parse(
+        "device=oldgen;controller=blk-throttle;seconds=2;warmup=500ms;"
+        "marks=0;job=hi:weight=200:latency_target=200us:depth=16:"
+        "io.max=riops=35440.65;job=lo:thinktime=100us:depth=1:"
+        "io.max=riops=17720.325 wbps=1e6");
+    const std::string canonical = sc.canonical();
+    EXPECT_EQ(canonical,
+              "device=oldgen;controller=blk-throttle;model=;qos=;faults=;"
+              "seconds=2;warmup=500000000ns;seed=42;"
+              "job=hi:weight=200:latency_target=200us:depth=16:"
+              "io.max=riops=35440.65;"
+              "job=lo:thinktime=100us:depth=1:"
+              "io.max=riops=17720.325 wbps=1e6;marks=0");
+    EXPECT_EQ(host::ScenarioSpec::parse(canonical).canonical(), canonical);
+
+    const host::ScenarioSpec lat = host::ScenarioSpec::parse(
+        "controller=iolatency;warmup=0;marks=0;"
+        "job=a:io.latency=target=200");
+    EXPECT_EQ(host::ScenarioSpec::parse(lat.canonical()).canonical(),
+              lat.canonical());
+
+    // warmup=0 measures from the start; unset keeps 10% of seconds.
+    EXPECT_EQ(lat.warmupTime(), 0);
+    EXPECT_EQ(sc.warmupTime(), 500 * sim::kMsec);
+    const host::ScenarioSpec plain = host::ScenarioSpec::parse("seconds=3");
+    EXPECT_FALSE(plain.warmup.has_value());
+    EXPECT_EQ(plain.warmupTime(), 300 * sim::kMsec);
+    EXPECT_EQ(plain.canonical().find("warmup"), std::string::npos);
+    EXPECT_NE(host::ScenarioSpec::parse("seconds=3;warmup=300ms").hash(),
+              plain.hash());
+}
+
 TEST(ScenarioSpec, ParseErrorsNameTheKey)
 {
     const struct
@@ -269,6 +378,16 @@ TEST(ScenarioSpec, ParseErrorsNameTheKey)
          "wdepth: 10000000000 is out of range"},
         {"controller=iocost rlat=2e20 min=25",
          "rlat: 2e+20 us is out of range"},
+        {"warmup=x", "warmup"},
+        {"warmup=-1s", "warmup"},
+        {"warmup=5parsecs", "warmup"},
+        {"warmup=9223372036s", "warmup out of range"},
+        {"controller=bfq;job=hi:io.max=riops=100",
+         "job \"hi\": io.max needs controller=blk-throttle"},
+        {"job=lo:io.latency=target=400",
+         "job \"lo\": io.latency needs controller=iolatency"},
+        {"controller=blk-throttle;job=a:io.latency=target=400",
+         "io.latency needs controller=iolatency"},
     };
     for (const auto &c : bad) {
         try {
@@ -341,6 +460,17 @@ TEST(ScenarioDefaults, SweepLanesDefaultLikeTheHost)
     EXPECT_THROW(host::scenarioSweep(
                      host::ScenarioSpec::parse("job=b:buffered=1"),
                      {"iocost", "iolatency"}),
+                 std::invalid_argument);
+    // Each lane runs its own controller, so no lane reads io.max.
+    EXPECT_THROW(host::scenarioSweep(
+                     host::ScenarioSpec::parse(
+                         "controller=blk-throttle;job=b:io.max=riops=100"),
+                     {"blk-throttle", "iocost"}),
+                 std::invalid_argument);
+    EXPECT_THROW(host::scenarioSweep(
+                     host::ScenarioSpec::parse(
+                         "controller=iolatency;job=b:io.latency=target=300"),
+                     {"iolatency", "iocost"}),
                  std::invalid_argument);
 }
 

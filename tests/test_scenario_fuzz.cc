@@ -57,7 +57,8 @@ const char *const kFleetCorpus[] = {
     "devices=enterprise,B workloads=buffered\n",
 };
 
-/** Host specs from the scenario, what-if and JSON tests. */
+/** Host specs from the scenario, what-if and JSON tests, and
+ *  fig10_proportional's blk-throttle and iolatency rows. */
 const char *const kHostCorpus[] = {
     "",
     "device=newgen;seconds=0.4;marks=100ms,200ms;seed=11",
@@ -73,6 +74,16 @@ const char *const kHostCorpus[] = {
     "device=hdd;model=rbps=174019176 rseqiops=41353 "
     "rrandiops=370 wbps=178075866 wseqiops=42253 wrandiops=378;"
     "seconds=3",
+    "device=oldgen;seed=1010;seconds=20;warmup=5s;controller=blk-throttle;"
+    "job=high-priority:weight=200:latency_target=200us:depth=16:"
+    "io.max=riops=35440.65;"
+    "job=low-priority:weight=100:latency_target=200us:depth=16:"
+    "io.max=riops=17720.325",
+    "device=oldgen;seed=1010;seconds=20;warmup=5s;controller=iolatency;"
+    "job=high-priority:weight=200:latency_target=200us:depth=16:"
+    "io.latency=target=200;"
+    "job=low-priority:weight=100:latency_target=200us:depth=16:"
+    "io.latency=target=400",
 };
 
 constexpr int kMutantsPerInput = 3000;

@@ -285,6 +285,39 @@ TEST(WhatifService, DeterminismGate)
     }
 }
 
+/** io.max limits and io.latency targets are in the controllers'
+ *  state walks, so a branch from a checkpoint keeps them: fig10's
+ *  blk-throttle and iolatency rows, shortened, answer like a cold
+ *  re-run. */
+TEST(WhatifService, CgroupLimitRowsBranchLikeCold)
+{
+    const char *const rows[] = {
+        "controller=blk-throttle;"
+        "job=high-priority:weight=200:latency_target=200us:depth=16:"
+        "io.max=riops=35440.65;"
+        "job=low-priority:weight=100:latency_target=200us:depth=16:"
+        "io.max=riops=17720.325",
+        "controller=iolatency;"
+        "job=high-priority:weight=200:latency_target=200us:depth=16:"
+        "io.latency=target=200;"
+        "job=low-priority:weight=100:latency_target=200us:depth=16:"
+        "io.latency=target=400",
+    };
+    const whatif::Query q = whatif::Query::parse(
+        "{\"q\":\"weight\",\"cg\":\"low-priority\",\"value\":300,"
+        "\"from\":\"150ms\"}");
+    for (const char *row : rows) {
+        const host::ScenarioSpec sc = host::ScenarioSpec::parse(
+            std::string("device=oldgen;seed=1010;seconds=0.4;"
+                        "marks=100ms,200ms;") +
+            row);
+        whatif::Service service(sc, 2);
+        EXPECT_EQ(service.evaluate(q),
+                  whatif::Service::evaluateCold(sc, q))
+            << row;
+    }
+}
+
 /** Identical queries are served from the result cache. */
 TEST(WhatifService, ResultCache)
 {

@@ -12,7 +12,7 @@
  * --controller, --model, --qos, --faults, --seconds, --seed,
  * --pagecache, --dirty-ratio, --job; src/host/scenario.hh documents
  * them and the job grammar) and runs the same host, from t=0 with no
- * warmup cut, for --seconds (default 5). The page-cache flusher's
+ * warmup cut (--warmup is ignored), for --seconds (default 5). The page-cache flusher's
  * "wb" telemetry shows up as a [wb] row under each period.
  *   iocost_mon [scenario flags]
  *              [--every N]     render every Nth period (default:

@@ -12,14 +12,17 @@
  *   iocost_sim [--device NAME] [--controller "<spec>"]
  *              [--model "<io.cost.model line>"]
  *              [--qos "<io.cost.qos line>"] [--faults "<spec>"]
- *              [--seconds N] [--seed N]
+ *              [--seconds N] [--warmup TIME] [--seed N]
  *              [--pagecache SIZE] [--dirty-ratio PCT]
  *              [--job name:key=value:...] ...
  *     The single-host scenario flags, shared with iocost_mon: each
  *     sets the scenario key of the same name, and
  *     src/host/scenario.hh documents them and the job grammar. A
  *     buffered job with no --pagecache gets a 512M cache. The run
- *     warms up for 10% of --seconds, then measures --seconds.
+ *     warms up for --warmup (default 10% of --seconds; 0 measures
+ *     from the start), then measures --seconds, so any row of the
+ *     figure tables (bench/spec_table.hh) runs here from its spec
+ *     keys.
  *              [--whatif '{"q":...}']  one-shot what-if query
  *               against the scenario the flags above describe (see
  *               whatif/query.hh for the JSON grammar); prints one
@@ -98,15 +101,13 @@ runHostSweep(const host::ScenarioSpec &sc,
     const host::SweepOptions sopts =
         host::scenarioSweep(sc, specs, &model);
     const std::vector<host::JobSpec> job_specs = sc.parsedJobs();
-    const auto warmup =
-        static_cast<sim::Time>(0.1 * sc.seconds * sim::kSec);
-    const auto measure = static_cast<sim::Time>(sc.seconds * sim::kSec);
+    const sim::Time warmup = sc.warmupTime();
 
     auto body = [&](sim::Simulator &s, host::SweepRunner &runner) {
         const auto running = host::startSweepJobs(s, runner, job_specs);
         s.runUntil(warmup);
         runner.resetStats();
-        s.runUntil(warmup + measure);
+        s.runUntil(warmup + sc.duration());
         for (auto &job : running)
             job->stop();
     };
@@ -150,7 +151,7 @@ runHostSweep(const host::ScenarioSpec &sc,
     return 0;
 }
 
-/** One host: warm up 10%, then measure for the scenario's seconds. */
+/** One host: warm up, then measure for the scenario's seconds. */
 int
 runHost(const host::ScenarioSpec &sc)
 {
@@ -169,11 +170,7 @@ runHost(const host::ScenarioSpec &sc)
                     core::formatQosLine(ctl.iocost.qos).c_str());
     }
 
-    const auto warmup =
-        static_cast<sim::Time>(0.1 * sc.seconds * sim::kSec);
-    sim.runUntil(warmup);
-    scenario.resetStats();
-    sim.runUntil(warmup + static_cast<sim::Time>(sc.seconds * sim::kSec));
+    host::runMeasured(sim, scenario, sc);
 
     std::printf("\n%s", kJobHeader);
     const std::vector<host::JobSpec> &jobs = scenario.jobs();
