@@ -975,6 +975,10 @@ struct SweepAllocResult
     uint64_t windowBios = 0;
     /** The shared ServiceLog's peak live ids over the whole run. */
     size_t peakLive = 0;
+    /** Slots its arena created over the whole run. */
+    size_t peakSlots = 0;
+    /** Its hashed (retry-table) lookups in the window. */
+    uint64_t hashedLookups = 0;
 };
 
 /**
@@ -1026,8 +1030,10 @@ sweepAllocsPerBio()
                 return n;
             };
 
+            const blk::ServiceLog &log = runner.serviceLog();
             sim.runUntil(1 * sim::kSec); // arenas/pools to capacity
             const uint64_t c0 = completions();
+            const uint64_t h0 = log.hashedLookups();
             const uint64_t a0 =
                 g_heapAllocs.load(std::memory_order_relaxed);
             sim.runUntil(3 * sim::kSec);
@@ -1037,7 +1043,9 @@ sweepAllocsPerBio()
             out.allocsPerBio = static_cast<double>(a1 - a0) /
                                static_cast<double>(c1 - c0);
             out.windowBios = c1 - c0;
-            out.peakLive = runner.serviceLog().peakLive();
+            out.peakLive = log.peakLive();
+            out.peakSlots = log.peakSlots();
+            out.hashedLookups = log.hashedLookups() - h0;
         },
         [](host::SweepRunner &, size_t, size_t) { return 0; });
     return out;
@@ -1234,7 +1242,6 @@ checkAllocs()
     // per-bio allocation.
     constexpr double kMaxAllocsPerBio = 0.01;
     constexpr double kMinSpeedup = 1.2;
-    constexpr double kMinVsRecorded = 0.5;
 
     // Alloc counts are deterministic, so the WORST of 3 gates; the
     // wall-clock measures are not (ctest -j runs this under heavy
@@ -1327,11 +1334,15 @@ checkAllocs()
     // The same lane's log occupancy: the shared ServiceLog must hold
     // only ids some lane (or the generator) still needs, not one
     // slot per bio ever issued — a per-id log would read over 100%
-    // here. A count, so exact under any machine load.
+    // here. Counts, so exact under any machine load.
     constexpr double kMaxLiveShare = 0.01;
-    std::printf("sweep log: %zu peak live ids, %llu generator bios "
-                "in window\n",
-                sweep.peakLive,
+    const double hashed_per_bio =
+        static_cast<double>(sweep.hashedLookups) /
+        static_cast<double>(std::max<uint64_t>(1, sweep.windowBios));
+    std::printf("sweep log: %zu peak live ids, %zu peak slots, %.4f "
+                "hashed lookups per generator bio, %llu generator "
+                "bios in window\n",
+                sweep.peakLive, sweep.peakSlots, hashed_per_bio,
                 static_cast<unsigned long long>(sweep.windowBios));
     if (static_cast<double>(sweep.peakLive) >
         kMaxLiveShare * static_cast<double>(sweep.windowBios)) {
@@ -1343,6 +1354,28 @@ checkAllocs()
                      sweep.peakLive, 100.0 * kMaxLiveShare,
                      static_cast<unsigned long long>(
                          sweep.windowBios));
+        ok = false;
+    }
+    // Each live id owns one arena slot, and a released slot is
+    // reused before a new one is created, so the arena's slot count
+    // is exactly its peak live ids.
+    if (sweep.peakSlots != sweep.peakLive) {
+        std::fprintf(stderr,
+                     "FAIL: the sweep's ServiceLog arena created %zu "
+                     "slots for %zu peak live ids — released slots "
+                     "are not being reused\n",
+                     sweep.peakSlots, sweep.peakLive);
+        ok = false;
+    }
+    // Handles index the log's slots directly; only retries (none on
+    // this healthy device) reach its id-keyed table.
+    if (sweep.hashedLookups != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %llu hashed ServiceLog lookups in the "
+                     "window of a device that fails nothing — the "
+                     "log is hashing ids again\n",
+                     static_cast<unsigned long long>(
+                         sweep.hashedLookups));
         ok = false;
     }
 
@@ -1401,6 +1434,7 @@ checkAllocs()
     // recorded from an optimized tree (see IOCOST_BENCH_SANITIZED).
     // A baseline present but unreadable fails rather than skips.
 #ifndef IOCOST_BENCH_SANITIZED
+    constexpr double kMinVsRecorded = 0.5;
     if (std::filesystem::exists("BENCH_kernel.json")) {
         double recorded = 0.0;
         try {

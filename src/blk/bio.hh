@@ -104,8 +104,9 @@ using BioEndFn = sim::InlineFunction<void(const Bio &), 40>;
 /**
  * One block IO request: 120 bytes, which test_bio_pool pins. A
  * throttled cgroup's backlog is nothing but bios, so these bytes set
- * how much queued IO a simulation holds per megabyte; the one-byte
- * fields share one word and nothing else pads.
+ * how much queued IO a simulation holds per megabyte; the three flags
+ * share one byte, the small fields and the log handle share one
+ * word, and nothing else pads.
  */
 struct Bio
 {
@@ -128,13 +129,13 @@ struct Bio
      * Swap-out / swap-in IO issued by memory reclaim on behalf of the
      * charged cgroup; must not be throttled synchronously (§3.5).
      */
-    bool swap = false;
+    bool swap : 1 = false;
 
     /**
      * Filesystem metadata/journal IO; shares the swap path's debt
      * treatment because other groups can be blocked behind it.
      */
-    bool meta = false;
+    bool meta : 1 = false;
 
     /**
      * Dirty-page writeback issued by the flusher on behalf of the
@@ -143,7 +144,7 @@ struct Bio
      * pages pin memory and fsync barriers queue behind them — so
      * iocost turns the cost into debt instead of throttling (§3.5).
      */
-    bool wb = false;
+    bool wb : 1 = false;
 
     /**
      * Completion status, inspected by completion callbacks. Ok on
@@ -156,6 +157,14 @@ struct Bio
 
     /** Retry attempts consumed so far (block-layer requeues). */
     uint8_t retries = 0;
+
+    /**
+     * A sweep's ServiceLog handle for this request's id (see
+     * ServiceLog::open): set on the generator's bio and copied to
+     * every lane copy, so the log indexes the id's slot directly.
+     * Unused outside sweeps.
+     */
+    uint32_t logHandle = 0;
 
     /** When the bio entered the block layer. */
     sim::Time submitTime = 0;

@@ -113,6 +113,7 @@ class BioPool
         bio->dispatchTime = 0;
         bio->status = BioStatus::Ok;
         bio->retries = 0;
+        bio->logHandle = 0;
         bio->onComplete = std::move(on_complete);
         bio->controllerScratch = 0.0;
         return BioPtr(bio);
@@ -308,6 +309,7 @@ cloneBio(const Bio &src)
         out->wb = b->wb;
         out->status = b->status;
         out->retries = b->retries;
+        out->logHandle = b->logHandle;
         out->submitTime = b->submitTime;
         out->dispatchTime = b->dispatchTime;
         out->onComplete = b->onComplete.clone();

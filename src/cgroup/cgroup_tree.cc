@@ -9,7 +9,10 @@ namespace iocost::cgroup {
 CgroupTree::CgroupTree()
 {
     Node root;
-    root.name = "/";
+    // Built, not assigned from a literal: under the sanitizer build's
+    // flags GCC 12 misreads the inlined `= "/"` copy as an
+    // overlapping memcpy (-Wrestrict).
+    root.name.push_back('/');
     root.weight = kDefaultWeight;
     root.inuse = kDefaultWeight;
     nodes_.push_back(std::move(root));

@@ -141,7 +141,8 @@ HddModel::maybeStartService()
     // includes the NCQ elevator wait — the C-LOOK schedule is part
     // of the seek-bound device's behavior, not of any controller's.
     if (serviceLog() != nullptr) {
-        serviceLog()->append(chosen.bio->id, chosen.bio->retries,
+        serviceLog()->append(chosen.bio->logHandle, chosen.bio->id,
+                             chosen.bio->retries,
                              now - chosen.accepted + svc,
                              chosen.bio->status);
     }

@@ -68,7 +68,7 @@ RemoteModel::submit(blk::BioPtr &bio)
         admitted + static_cast<sim::Time>(rtt + backend);
 
     if (serviceLog() != nullptr) {
-        serviceLog()->append(bio->id, bio->retries,
+        serviceLog()->append(bio->logHandle, bio->id, bio->retries,
                              std::max(done, now + 1) - now,
                              bio->status);
     }

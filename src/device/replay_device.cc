@@ -34,16 +34,18 @@ ReplayDevice::takePending(uint64_t id)
 std::optional<ReplayDevice::Outcome>
 ReplayDevice::outcome(const blk::Bio &bio) const
 {
-    const blk::ServiceLog::Entry *e = log_.find(bio.id, bio.retries);
-    if (e == nullptr) {
-        if (!log_.closed(bio.id))
+    // The bio holds its id's log entry, so the handle is live.
+    std::optional<blk::ServiceLog::Entry> e =
+        log_.find(bio.logHandle, bio.id, bio.retries);
+    if (!e) {
+        if (!log_.closed(bio.logHandle, bio.id))
             return std::nullopt;
         // The generator will never record this attempt. Clamp to
         // the last recorded one; an id with no entries at all never
         // reached the generator's device (expired while parked) and
         // fails after a tick.
-        e = log_.findClamped(bio.id, bio.retries);
-        if (e == nullptr)
+        e = log_.findClamped(bio.logHandle, bio.id, bio.retries);
+        if (!e)
             return Outcome{1, blk::BioStatus::Error};
     }
     return Outcome{std::max<sim::Time>(1, e->duration), e->status};

@@ -11,12 +11,14 @@
  * duration and status come from the shared ServiceLog. It draws no
  * randomness of its own, so every lane sees one device/fault stream.
  *
- * Lookups routinely miss: a lane whose controller releases a bio
- * with little delay dispatches it *before* the generator's device
- * accepts the original and records the outcome — nearly every bio
- * parks here for a moment. Parked bios are resolved by the
- * ServiceLog's append/close notifications, keyed by id: the pending
- * table is an sim::IdTable id → bio map so each notification costs
+ * A bio finds its outcome through the log handle it carries
+ * (Bio::logHandle), one direct slot index. Lookups routinely miss: a
+ * lane whose controller releases a bio with little delay dispatches
+ * it *before* the generator's device accepts the original and
+ * records the outcome — nearly every bio parks here for a moment.
+ * Parked bios are resolved by the ServiceLog's append/close
+ * notifications, keyed by id: the pending table is an sim::IdTable
+ * id → bio map sized to the queue depth, so each notification costs
  * O(1) per lane, not a scan of the queue depth. In that lockstep
  * case every lane's bio completes at the *same* instant
  * (notification time + duration), so the SweepRunner batches all K

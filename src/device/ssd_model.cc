@@ -175,8 +175,8 @@ SsdModel::submit(blk::BioPtr &bio)
                    std::greater<>{});
 
     if (serviceLog() != nullptr) {
-        serviceLog()->append(bio->id, bio->retries, done - now,
-                             bio->status);
+        serviceLog()->append(bio->logHandle, bio->id, bio->retries,
+                             done - now, bio->status);
     }
 
     ++inFlight_;

@@ -138,6 +138,7 @@ FusedObserver::materializeRecord(uint64_t id, const Record &rec) const
     bio->swap = rec.swap;
     bio->meta = rec.meta;
     bio->wb = rec.wb;
+    bio->logHandle = rec.logHandle;
     bio->id = id;
     bio->submitTime = rec.time;
     // A fused bio dispatched the instant it was admitted.
@@ -237,7 +238,7 @@ FusedObserver::onGeneratorBio(const blk::Bio &bio)
                 rec = &records_.insert(bio.id);
                 *rec = Record{0, bio.offset, bio.size, bio.op,
                               bio.swap, bio.meta, bio.wb,
-                              bio.cgroup, now};
+                              bio.cgroup, bio.logHandle, now};
             }
             rec->lanes |= uint64_t{1} << k;
             ++fusedLaneBios_;
@@ -297,7 +298,7 @@ FusedObserver::diverge(size_t k)
 }
 
 void
-FusedObserver::onLogEvent(uint64_t id)
+FusedObserver::onLogEvent(uint32_t handle, uint64_t id)
 {
     sim::IdTable<Record>::Cell *c = records_.find(id);
     if (c == nullptr)
@@ -308,23 +309,24 @@ FusedObserver::onLogEvent(uint64_t id)
         records_.erase(*c);
         return;
     }
-    const blk::ServiceLog::Entry *e = log_.find(id, 0);
-    if (e == nullptr && !log_.closed(id))
+    const std::optional<blk::ServiceLog::Entry> e =
+        log_.find(handle, id, 0);
+    if (!e && !log_.closed(handle, id))
         return; // outcome still ahead of the log; stay parked
     records_.erase(*c);
-    if (e != nullptr && e->status == blk::BioStatus::Ok) {
+    if (e && e->status == blk::BioStatus::Ok) {
         // Lockstep completion: one pooled event delivers all member
         // lanes' completions `duration` later. The record is
         // consumed now — the close(id) notification that follows
         // must not re-schedule it — and with it the member lanes'
         // holds on the log entry.
-        const uint32_t slot = allocFire();
-        firePool_[slot].rec = rec;
-        firePool_[slot].duration =
-            std::max<sim::Time>(1, e->duration);
-        log_.release(id, static_cast<uint32_t>(
-                             __builtin_popcountll(rec.lanes)));
-        sim_.at(sim_.now() + firePool_[slot].duration,
+        const uint32_t slot = fires_.acquire();
+        fires_[slot].rec = rec;
+        fires_[slot].duration = std::max<sim::Time>(1, e->duration);
+        log_.release(handle, id,
+                     static_cast<uint32_t>(
+                         __builtin_popcountll(rec.lanes)));
+        sim_.at(sim_.now() + fires_[slot].duration,
                 [this, slot] { fireFused(slot); });
         return;
     }
@@ -340,28 +342,15 @@ FusedObserver::onLogEvent(uint64_t id)
     }
 }
 
-uint32_t
-FusedObserver::allocFire()
-{
-    if (freeFire_ != kNoFire) {
-        const uint32_t slot = freeFire_;
-        freeFire_ = firePool_[slot].nextFree;
-        return slot;
-    }
-    firePool_.emplace_back();
-    return static_cast<uint32_t>(firePool_.size() - 1);
-}
-
 void
 FusedObserver::fireFused(uint32_t slot)
 {
     // Copy out and free the slot first: delivering completions can
     // drain parked bios into the replay device, and holding no
     // references keeps re-entrancy trivially safe.
-    const Record rec = firePool_[slot].rec;
-    const sim::Time d = firePool_[slot].duration;
-    firePool_[slot].nextFree = freeFire_;
-    freeFire_ = slot;
+    const Record rec = fires_[slot].rec;
+    const sim::Time d = fires_[slot].duration;
+    fires_.release(slot);
 
     const sim::Time now = sim_.now();
     const sim::Time total = now - rec.time;

@@ -25,8 +25,8 @@
  *    ones; the device slot is taken bio-lessly
  *    (ReplayDevice::fusedAcquire);
  *  - the in-flight request is tracked once, in an observer-owned
- *    record keyed by bio id with a member-lane bitmask, instead of
- *    K parked bios in K pending tables;
+ *    record keyed by bio id with a member-lane bitmask and the id's
+ *    log handle, instead of K parked bios in K pending tables;
  *  - when the log records the Ok outcome, one pooled simulator
  *    event delivers all member lanes' completions, and the member
  *    lanes' holds on the log entry are released at once (the
@@ -77,6 +77,7 @@
 #include "device/replay_device.hh"
 #include "sim/id_table.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 
 namespace iocost::host {
 
@@ -118,14 +119,15 @@ class FusedObserver
     void onGeneratorBio(const blk::Bio &bio);
 
     /**
-     * ServiceLog append/close for @p id. Consumes the fused record,
-     * if any: an Ok outcome schedules the batched fused completion
-     * and releases one log hold per member lane; an error (or
-     * closed-with-no-entry) outcome forks the record into real
-     * parked bios so the caller's per-lane resolve pass handles
-     * retry/clamp exactly like the full path.
+     * ServiceLog append/close for @p id, whose log slot is
+     * @p handle. Consumes the fused record, if any: an Ok outcome
+     * schedules the batched fused completion and releases one log
+     * hold per member lane; an error (or closed-with-no-entry)
+     * outcome forks the record into real parked bios so the
+     * caller's per-lane resolve pass handles retry/clamp exactly
+     * like the full path.
      */
-    void onLogEvent(uint64_t id);
+    void onLogEvent(uint32_t handle, uint64_t id);
 
     /**
      * A planning-group boundary ran: re-validate cost groups (model
@@ -234,18 +236,19 @@ class FusedObserver
         bool meta = false;
         bool wb = false;
         cgroup::CgroupId cg = 0;
+        /** The id's ServiceLog handle. */
+        uint32_t logHandle = 0;
         /** Submit == dispatch instant (fused bios never park). */
         sim::Time time = 0;
     };
 
-    /** Pooled pending fused completion (freelisted slots). */
+    /** Pooled pending fused completion. */
     struct Fire
     {
         Record rec;
         sim::Time duration = 0;
-        uint32_t nextFree = kNoFire;
+        uint32_t nextFree = 0;
     };
-    static constexpr uint32_t kNoFire = UINT32_MAX;
 
     /** Fork lane @p k off the fused path, materializing its fused
      *  in-flight records as real parked bios (flushes the deferred
@@ -279,7 +282,6 @@ class FusedObserver
     blk::BioPtr materializeRecord(uint64_t id,
                                   const Record &rec) const;
 
-    uint32_t allocFire();
     void fireFused(uint32_t slot);
     void rebuildGroups();
 
@@ -299,8 +301,7 @@ class FusedObserver
      *  a record lives inside a device-slot lifetime. */
     sim::IdTable<Record> records_;
 
-    std::vector<Fire> firePool_;
-    uint32_t freeFire_ = kNoFire;
+    sim::SlotPool<Fire, &Fire::nextFree> fires_;
 
     /** Bitmask of currently-fused lanes (mirrors LaneRef::fused).
      *  A completion window can be scratch-deferred only when the

@@ -206,18 +206,19 @@ SweepRunner::SweepRunner(sim::Simulator &sim, SweepOptions opts)
     }
 
     resolveScratch_.reserve(lanes_.size());
-    log_.setListener([this](uint64_t id) { onLogEvent(id); });
+    log_.setListener(
+        [this](uint32_t h, uint64_t id) { onLogEvent(h, id); });
 }
 
 void
-SweepRunner::onLogEvent(uint64_t id)
+SweepRunner::onLogEvent(uint32_t handle, uint64_t id)
 {
     // The observer consumes the id's fused record first: an Ok
     // outcome schedules the batched fused completion, an error
     // outcome forks real parked bios that the per-lane pass below
     // then resolves exactly like full-path bios.
     if (fused_)
-        fused_->onLogEvent(id);
+        fused_->onLogEvent(handle, id);
 
     resolveScratch_.clear();
     for (Lane &lane : lanes_) {
@@ -234,8 +235,10 @@ SweepRunner::onLogEvent(uint64_t id)
     // different attempts; each distinct value gets its own batch.)
     while (!resolveScratch_.empty()) {
         const sim::Time d = resolveScratch_.front().duration;
-        const uint32_t slot = allocBatch();
-        ReplayBatch &batch = batchPool_[slot];
+        const uint32_t slot = batches_.acquire();
+        ReplayBatch &batch = batches_[slot];
+        if (batch.items.capacity() == 0)
+            batch.items.reserve(lanes_.size());
         batch.duration = d;
         for (size_t i = 0; i < resolveScratch_.size();) {
             if (resolveScratch_[i].duration == d) {
@@ -253,38 +256,24 @@ SweepRunner::onLogEvent(uint64_t id)
     }
 }
 
-uint32_t
-SweepRunner::allocBatch()
-{
-    if (freeBatch_ != kNoBatch) {
-        const uint32_t slot = freeBatch_;
-        freeBatch_ = batchPool_[slot].nextFree;
-        return slot;
-    }
-    batchPool_.emplace_back();
-    batchPool_.back().items.reserve(lanes_.size());
-    return static_cast<uint32_t>(batchPool_.size() - 1);
-}
-
 void
 SweepRunner::fireBatch(uint32_t slot)
 {
     // Take the items by move: delivering a completion can re-enter
     // batch allocation (a lane controller dispatches queued bios),
-    // which may reallocate batchPool_ under us — so hold no
-    // references across the loop, and keep the slot off the
-    // freelist until delivery is done.
+    // which may grow the pool under us — so hold no references
+    // across the loop, and keep the slot off the free list until
+    // delivery is done.
     std::vector<device::ReplayDevice::Resolved> items =
-        std::move(batchPool_[slot].items);
-    const sim::Time d = batchPool_[slot].duration;
+        std::move(batches_[slot].items);
+    const sim::Time d = batches_[slot].duration;
     for (device::ReplayDevice::Resolved &r : items)
         r.dev->finishReplayed(std::move(r.bio), d);
     // Hand the buffer back (capacity retained) and free the slot so
     // its next use stays allocation-free.
     items.clear();
-    batchPool_[slot].items = std::move(items);
-    batchPool_[slot].nextFree = freeBatch_;
-    freeBatch_ = slot;
+    batches_[slot].items = std::move(items);
+    batches_.release(slot);
 }
 
 cgroup::CgroupId
@@ -317,12 +306,14 @@ SweepRunner::addSystemService(const std::string &name,
 }
 
 void
-SweepRunner::cloneToLanes(const blk::Bio &bio)
+SweepRunner::cloneToLanes(blk::Bio &bio)
 {
     // One hold for the generator (released by close()) and one per
     // lane (released by its copy's terminal completion, or by the
-    // fused observer when it consumes the outcome).
-    log_.open(bio.id, static_cast<uint32_t>(lanes_.size()) + 1);
+    // fused observer when it consumes the outcome). The generator's
+    // device records its outcomes through the handle on the bio.
+    bio.logHandle =
+        log_.open(bio.id, static_cast<uint32_t>(lanes_.size()) + 1);
     if (fused_) {
         fused_->onGeneratorBio(bio);
         return;
@@ -334,7 +325,7 @@ SweepRunner::cloneToLanes(const blk::Bio &bio)
 void
 SweepRunner::onGeneratorFinal(const blk::Bio &bio)
 {
-    log_.close(bio.id);
+    log_.close(bio.logHandle, bio.id);
 }
 
 void

@@ -12,7 +12,8 @@
  * duration and fault status the generator's device recorded in the
  * shared ServiceLog. The log keeps an id only while the generator or
  * some lane still needs it, so sweep memory follows the requests in
- * flight (plus any throttled lane's backlog), not the run length.
+ * flight (plus any throttled lane's backlog), not the run length;
+ * the generator bio and its lane copies carry the id's log handle.
  *
  * Shared vs per-lane state:
  *  - shared: the workload arrival stream, the device-model service
@@ -59,6 +60,7 @@
 #include "host/fused_observer.hh"
 #include "host/host.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 
 namespace iocost::host {
 
@@ -256,25 +258,24 @@ class SweepRunner
      * One scheduled completion shared by every lane whose parked bio
      * resolved to the same service duration (in lockstep that is all
      * of them): K lane completions cost one simulator event instead
-     * of K. Slots are pooled and freelisted, so the steady-state
-     * replay loop never touches the allocator.
+     * of K. Slots are pooled and keep their item buffers, so the
+     * steady-state replay loop never touches the allocator.
      */
     struct ReplayBatch
     {
         std::vector<device::ReplayDevice::Resolved> items;
         sim::Time duration = 0;
-        uint32_t nextFree = kNoBatch;
+        uint32_t nextFree = 0;
     };
-    static constexpr uint32_t kNoBatch = UINT32_MAX;
 
-    /** Clone one generator submission into every lane (id lockstep). */
-    void cloneToLanes(const blk::Bio &bio);
+    /** Open the log entry for one generator submission (its handle
+     *  goes on the bio) and clone it into every lane (id lockstep). */
+    void cloneToLanes(blk::Bio &bio);
     /** The generator delivered @p bio's final completion. */
     void onGeneratorFinal(const blk::Bio &bio);
     /** ServiceLog append/close: resolve parked bios in every lane
      *  and schedule the batched completions. */
-    void onLogEvent(uint64_t id);
-    uint32_t allocBatch();
+    void onLogEvent(uint32_t handle, uint64_t id);
     void fireBatch(uint32_t slot);
 
     sim::Simulator &sim_;
@@ -287,8 +288,7 @@ class SweepRunner
     std::vector<std::pair<std::string, cgroup::CgroupId>>
         workloadCgroups_;
     std::vector<device::ReplayDevice::Resolved> resolveScratch_;
-    std::vector<ReplayBatch> batchPool_;
-    uint32_t freeBatch_ = kNoBatch;
+    sim::SlotPool<ReplayBatch, &ReplayBatch::nextFree> batches_;
     std::unique_ptr<FusedObserver> fused_;
 };
 

@@ -1,14 +1,20 @@
 /**
  * @file
- * IdTable — open-addressed map from a nonzero bio id to a value:
- * the replay devices' parked bios, the fused observer's in-flight
- * records and the service log's live outcomes. Fibonacci hashing
- * onto a power-of-two array, linear probing, and backward-shift
- * erase (no tombstones). It doubles whenever an insert would pass
- * 50% load and never shrinks, so once grown to a workload's
- * high-water mark it runs allocation-free. Id 0 marks an empty
- * cell; iteration is in cell order, a function of the insert/erase
- * sequence alone.
+ * IdTable — open-addressed map from a nonzero bio id to a value, for
+ * the sweep's lookups that start from an id rather than a slot
+ * handle: each replay device's parked bios and the fused observer's
+ * in-flight records, found by the id a ServiceLog notification names
+ * (both stay sized to the device queue depth), and the log's retried
+ * attempts (attempt >= 1, keyed by id and attempt; empty on a device
+ * that fails nothing). The log's live ids themselves sit in a
+ * sim::SlotPool addressed by handle.
+ *
+ * Fibonacci hashing onto a power-of-two array, linear probing, and
+ * backward-shift erase (no tombstones). It doubles whenever an
+ * insert would pass 50% load and never shrinks, so once grown to a
+ * workload's high-water mark it runs allocation-free. Id 0 marks an
+ * empty cell; iteration is in cell order, a function of the
+ * insert/erase sequence alone.
  */
 
 #ifndef IOCOST_SIM_ID_TABLE_HH

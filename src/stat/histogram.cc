@@ -12,6 +12,20 @@ Histogram::Histogram(unsigned sub_bucket_bits)
     // 64 octaves x subBuckets linear slots covers the full uint64
     // range; latency values in ns never exceed ~2^45 in practice.
     buckets_.assign((64u + 1u) << subBits_, 0);
+    lo_ = static_cast<unsigned>(buckets_.size());
+}
+
+void
+Histogram::fitRange()
+{
+    lo_ = static_cast<unsigned>(buckets_.size());
+    hi_ = 0;
+    for (unsigned i = 0; i < buckets_.size(); ++i) {
+        if (buckets_[i] != 0) {
+            lo_ = std::min(lo_, i);
+            hi_ = i + 1;
+        }
+    }
 }
 
 uint64_t
@@ -54,7 +68,7 @@ Histogram::quantile(double q) const
         1, static_cast<uint64_t>(
                std::ceil(q * static_cast<double>(count_))));
     uint64_t seen = 0;
-    for (unsigned i = 0; i < buckets_.size(); ++i) {
+    for (unsigned i = lo_; i < hi_; ++i) {
         seen += buckets_[i];
         if (seen >= rank) {
             const int64_t edge =
@@ -86,7 +100,10 @@ Histogram::snapshot(sim::Time now) const
 void
 Histogram::reset()
 {
-    std::fill(buckets_.begin(), buckets_.end(), 0);
+    if (lo_ < hi_)
+        std::fill(buckets_.begin() + lo_, buckets_.begin() + hi_, 0);
+    lo_ = static_cast<unsigned>(buckets_.size());
+    hi_ = 0;
     count_ = 0;
     total_ = 0;
     sumSquares_ = 0;
@@ -100,8 +117,10 @@ Histogram::merge(const Histogram &other)
     if (other.count_ == 0)
         return;
     if (other.subBits_ == subBits_) {
-        for (size_t i = 0; i < buckets_.size(); ++i)
+        for (unsigned i = other.lo_; i < other.hi_; ++i)
             buckets_[i] += other.buckets_[i];
+        lo_ = std::min(lo_, other.lo_);
+        hi_ = std::max(hi_, other.hi_);
     } else {
         // Differing resolutions: re-bucket counts at each source
         // bucket's representative (upper-edge) value. Quantiles
@@ -110,13 +129,15 @@ Histogram::merge(const Histogram &other)
         // values here would inflate total_/sumSquares_ (every
         // observation rounds up to its bucket edge) and bias
         // mean/stddev after fleet aggregation.
-        for (unsigned i = 0; i < other.buckets_.size(); ++i) {
+        for (unsigned i = other.lo_; i < other.hi_; ++i) {
             if (!other.buckets_[i])
                 continue;
             const unsigned idx = std::min<unsigned>(
                 bucketIndex(other.bucketUpperEdge(i)),
                 static_cast<unsigned>(buckets_.size() - 1));
             buckets_[idx] += other.buckets_[i];
+            lo_ = std::min(lo_, idx);
+            hi_ = std::max(hi_, idx + 1);
         }
     }
     // Moments and extrema merge exactly regardless of resolution.

@@ -5,8 +5,11 @@
  * Buckets are organized HDR-histogram style: values are grouped by
  * their power-of-two magnitude, and each magnitude is split into a
  * fixed number of linear sub-buckets, bounding relative quantile error
- * by 1/subBuckets. Recording is O(1); percentile queries are O(number
- * of buckets). This mirrors what the kernel's iocost implementation
+ * by 1/subBuckets. Recording is O(1). The histogram tracks the range
+ * of buckets it has filled, so percentile queries, merges and resets
+ * cost O(buckets in that range) rather than O(all buckets) — 2,080
+ * at the default resolution, while a latency population spans a few
+ * octaves. This mirrors what the kernel's iocost implementation
  * does with its completion-latency percentile estimation, and is the
  * backbone of every latency statistic in the simulator.
  */
@@ -55,6 +58,8 @@ class Histogram
             bucketIndex(static_cast<uint64_t>(value)),
             static_cast<unsigned>(buckets_.size() - 1));
         buckets_[idx] += count;
+        lo_ = std::min(lo_, idx);
+        hi_ = std::max(hi_, idx + 1);
         if (count_ == 0) {
             min_ = value;
             max_ = value;
@@ -149,6 +154,8 @@ class Histogram
         t.value(self.min_);
         t.value(self.max_);
         t.value(self.windowStart_);
+        if constexpr (Tape::kLoading)
+            self.fitRange();
     }
 
     unsigned
@@ -169,8 +176,20 @@ class Histogram
 
     uint64_t bucketUpperEdge(unsigned index) const;
 
+    /** Recompute [lo_, hi_) from the buckets (after a load). */
+    void fitRange();
+
     unsigned subBits_;
     std::vector<uint64_t> buckets_;
+    /**
+     * Every nonzero bucket lies in [lo_, hi_); lo_ = buckets_.size()
+     * and hi_ = 0 when empty. Tracked explicitly, not derived from
+     * min_/max_: a merge across resolutions re-buckets counts at
+     * source bucket upper edges, which can land above max_'s bucket.
+     * Not part of the snapshot image; a load recomputes it.
+     */
+    unsigned lo_ = 0;
+    unsigned hi_ = 0;
     uint64_t count_ = 0;
     int64_t total_ = 0;
     /**

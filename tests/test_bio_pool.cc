@@ -264,6 +264,7 @@ TEST(BioPool, ReusedBioIsFullyReinitialized)
         a->wb = true;
         a->status = blk::BioStatus::Error;
         a->retries = 3;
+        a->logHandle = 17;
         a->submitTime = 7;
         a->dispatchTime = 8;
         a->controllerScratch = 3.5;
@@ -285,6 +286,7 @@ TEST(BioPool, ReusedBioIsFullyReinitialized)
         EXPECT_FALSE(b->wb);
         EXPECT_EQ(b->status, blk::BioStatus::Ok);
         EXPECT_EQ(b->retries, 0u);
+        EXPECT_EQ(b->logHandle, 0u);
         EXPECT_EQ(b->submitTime, 0);
         EXPECT_EQ(b->dispatchTime, 0);
         EXPECT_EQ(b->controllerScratch, 0.0);

@@ -1,25 +1,32 @@
 /**
  * @file
- * ServiceLog: the sweep's shared outcome log of live ids.
+ * ServiceLog: the sweep's shared outcome log of live ids, and the
+ * slot pool it lives in.
  *
  * An id is opened with one holder per consumer (the generator plus
- * each lane) and erased, retry entries included, when the last one
- * releases it. Until then every lookup keeps its meaning: exact
- * attempts, the retry clamp once the id is closed, and the
- * error-after-a-tick outcome for an id closed with no entry. A
- * release with no holder left is a bookkeeping bug and panics.
+ * each lane) and freed, retry entries included, when the last one
+ * releases it. open() returns the handle of the id's slot, and every
+ * later call passes it with the id. Until the last release every
+ * lookup keeps its meaning: exact attempts, the retry clamp once the
+ * id is closed, and the error-after-a-tick outcome for an id closed
+ * with no entry. A release with no holder left, or a handle whose
+ * slot holds another id, is a bookkeeping bug and panics.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "blk/bio_pool.hh"
 #include "blk/service_log.hh"
 #include "device/replay_device.hh"
 #include "sim/id_table.hh"
+#include "sim/rng.hh"
 #include "sim/simulator.hh"
+#include "sim/slot_pool.hh"
 
 namespace {
 
@@ -28,61 +35,144 @@ using namespace iocost;
 TEST(ServiceLog, EntryReadableUntilLastHolderReleases)
 {
     blk::ServiceLog log;
-    std::vector<uint64_t> events;
-    log.setListener([&events](uint64_t id) { events.push_back(id); });
+    std::vector<std::pair<uint32_t, uint64_t>> events;
+    log.setListener([&events](uint32_t h, uint64_t id) {
+        events.emplace_back(h, id);
+    });
 
-    log.open(7, 3); // the generator and two lanes
+    const uint32_t h = log.open(7, 3); // the generator and two lanes
     EXPECT_EQ(log.live(), 1u);
-    EXPECT_EQ(log.find(7, 0), nullptr);
+    EXPECT_FALSE(log.find(h, 7, 0));
 
-    log.append(7, 0, 500, blk::BioStatus::Ok);
-    log.close(7); // releases the generator's hold
-    EXPECT_EQ(events, (std::vector<uint64_t>{7, 7}));
-    ASSERT_NE(log.find(7, 0), nullptr);
-    EXPECT_EQ(log.find(7, 0)->duration, 500);
-    EXPECT_TRUE(log.closed(7));
+    log.append(h, 7, 0, 500, blk::BioStatus::Ok);
+    log.close(h, 7); // releases the generator's hold
+    const std::pair<uint32_t, uint64_t> ev{h, 7};
+    EXPECT_EQ(events, (std::vector{ev, ev}));
+    ASSERT_TRUE(log.find(h, 7, 0));
+    EXPECT_EQ(log.find(h, 7, 0)->duration, 500);
+    EXPECT_TRUE(log.closed(h, 7));
 
-    log.release(7);
-    ASSERT_NE(log.find(7, 0), nullptr);
+    log.release(h, 7);
+    ASSERT_TRUE(log.find(h, 7, 0));
     EXPECT_EQ(log.live(), 1u);
 
-    log.release(7);
-    EXPECT_EQ(log.find(7, 0), nullptr);
-    EXPECT_FALSE(log.closed(7));
+    log.release(h, 7);
     EXPECT_EQ(log.live(), 0u);
     EXPECT_EQ(log.peakLive(), 1u);
+    EXPECT_EQ(log.peakSlots(), 1u);
+
+    // The freed slot is the next one handed out, and it keeps
+    // nothing of the id it held.
+    EXPECT_EQ(log.open(8, 1), h);
+    EXPECT_FALSE(log.find(h, 8, 0));
+    EXPECT_FALSE(log.closed(h, 8));
+    EXPECT_EQ(log.peakSlots(), 1u);
 }
 
 TEST(ServiceLog, RetryAttemptsAndClampLiveAndDieWithTheId)
 {
     blk::ServiceLog log;
-    log.open(5, 2);
-    log.append(5, 0, 100, blk::BioStatus::Error);
-    log.append(5, 1, 200, blk::BioStatus::Error);
-    log.append(5, 2, 300, blk::BioStatus::Ok);
+    const uint32_t h = log.open(5, 2);
+    log.append(h, 5, 0, 100, blk::BioStatus::Error);
+    log.append(h, 5, 1, 200, blk::BioStatus::Error);
+    log.append(h, 5, 2, 300, blk::BioStatus::Ok);
 
-    ASSERT_NE(log.find(5, 1), nullptr);
-    EXPECT_EQ(log.find(5, 1)->duration, 200);
-    EXPECT_EQ(log.find(5, 1)->status, blk::BioStatus::Error);
-    EXPECT_EQ(log.find(5, 3), nullptr);
+    ASSERT_TRUE(log.find(h, 5, 1));
+    EXPECT_EQ(log.find(h, 5, 1)->duration, 200);
+    EXPECT_EQ(log.find(h, 5, 1)->status, blk::BioStatus::Error);
+    EXPECT_FALSE(log.find(h, 5, 3));
     // A lane that wants more attempts than the generator made clamps
     // to the last recorded one.
-    ASSERT_NE(log.findClamped(5, 7), nullptr);
-    EXPECT_EQ(log.findClamped(5, 7)->duration, 300);
-    EXPECT_EQ(log.findClamped(5, 1)->duration, 200);
+    ASSERT_TRUE(log.findClamped(h, 5, 7));
+    EXPECT_EQ(log.findClamped(h, 5, 7)->duration, 300);
+    EXPECT_EQ(log.findClamped(h, 5, 1)->duration, 200);
+    // Only attempts >= 1 go through the retry table.
+    EXPECT_GT(log.hashedLookups(), 0u);
 
-    log.close(5);
-    log.release(5);
+    log.close(h, 5);
+    log.release(h, 5);
     EXPECT_EQ(log.live(), 0u);
-    EXPECT_EQ(log.find(5, 1), nullptr);
-    EXPECT_EQ(log.findClamped(5, 2), nullptr);
 
-    // Reopening the id finds no stale attempt: the retry entries
-    // were erased with it.
-    log.open(5, 1);
-    EXPECT_EQ(log.find(5, 1), nullptr);
-    EXPECT_EQ(log.find(5, 2), nullptr);
-    EXPECT_EQ(log.findClamped(5, 2), nullptr);
+    // Reopening the id (in the same slot) finds no stale attempt:
+    // the retry entries were erased with it.
+    EXPECT_EQ(log.open(5, 1), h);
+    EXPECT_FALSE(log.find(h, 5, 1));
+    EXPECT_FALSE(log.find(h, 5, 2));
+    EXPECT_FALSE(log.findClamped(h, 5, 2));
+}
+
+TEST(ServiceLog, PeakSlotsEqualPeakLiveUnderChurn)
+{
+    // Random open/append/close/release churn, the sweep's own shape:
+    // ids open in increasing order and retire out of order. A slot
+    // is reused before a new one is created, so the arena never
+    // holds more slots than the most ids ever live at once, and
+    // first attempts never touch the retry table.
+    blk::ServiceLog log;
+    sim::Rng rng(2024);
+    struct Live
+    {
+        uint32_t handle;
+        uint64_t id;
+        uint32_t holders;
+    };
+    std::vector<Live> live;
+    uint64_t next_id = 1;
+    size_t peak = 0;
+    for (int step = 0; step < 20000; ++step) {
+        if (live.empty() || rng.chance(0.52)) {
+            const uint32_t holders =
+                1 + static_cast<uint32_t>(rng.below(4));
+            const uint32_t h = log.open(next_id, holders);
+            for (const Live &l : live)
+                ASSERT_NE(l.handle, h) << "handle handed out twice";
+            log.append(h, next_id, 0, static_cast<sim::Time>(step),
+                       blk::BioStatus::Ok);
+            live.push_back(Live{h, next_id++, holders});
+            peak = std::max(peak, live.size());
+        } else {
+            const size_t i = rng.below(live.size());
+            Live &l = live[i];
+            ASSERT_TRUE(log.find(l.handle, l.id, 0));
+            log.release(l.handle, l.id);
+            if (--l.holders == 0) {
+                live[i] = live.back();
+                live.pop_back();
+            }
+        }
+        ASSERT_EQ(log.live(), live.size());
+    }
+    EXPECT_GT(peak, 50u);
+    EXPECT_EQ(log.peakLive(), peak);
+    EXPECT_EQ(log.peakSlots(), peak);
+    EXPECT_EQ(log.hashedLookups(), 0u);
+}
+
+TEST(SlotPool, HandlesRecycleLastReleasedFirst)
+{
+    struct Slot
+    {
+        int value = 0;
+        uint32_t next = 0;
+    };
+    sim::SlotPool<Slot, &Slot::next> pool;
+    const uint32_t a = pool.acquire();
+    const uint32_t b = pool.acquire();
+    EXPECT_EQ(pool.acquire(), 2u);
+    EXPECT_EQ(pool.slots(), 3u);
+    pool[b].value = 42;
+
+    pool.release(a);
+    pool.release(b);
+    EXPECT_EQ(pool.live(), 1u);
+    // Last released, first reused; the slot keeps what its previous
+    // user left (the caller reinitializes what it needs).
+    EXPECT_EQ(pool.acquire(), b);
+    EXPECT_EQ(pool[b].value, 42);
+    EXPECT_EQ(pool.acquire(), a);
+    EXPECT_EQ(pool.acquire(), 3u);
+    EXPECT_EQ(pool.slots(), 4u);
+    EXPECT_EQ(pool.live(), 4u);
 }
 
 /** A bare replay lane wired the way SweepRunner wires one: the log's
@@ -101,9 +191,9 @@ struct ReplayLane
         dev.setCompletionFn([this](blk::BioPtr bio, sim::Time) {
             status = bio->status;
             doneAt = sim.now();
-            log.release(bio->id);
+            log.release(bio->logHandle, bio->id);
         });
-        log.setListener([this](uint64_t id) {
+        log.setListener([this](uint32_t, uint64_t id) {
             dev.resolveDetached(id, resolved);
             for (device::ReplayDevice::Resolved &r : resolved) {
                 const sim::Time d = r.duration;
@@ -118,10 +208,11 @@ struct ReplayLane
     }
 
     void
-    submit(uint64_t id)
+    submit(uint32_t handle, uint64_t id)
     {
         blk::BioPtr bio = blk::Bio::make(blk::Op::Read, 0, 4096, 1);
         bio->id = id;
+        bio->logHandle = handle;
         ASSERT_TRUE(dev.submit(bio));
     }
 };
@@ -131,9 +222,9 @@ TEST(ServiceLog, ClosedWithNoEntryFailsAfterATick)
     // Closed before the lane dispatched: resolved on submit.
     {
         ReplayLane lane;
-        lane.log.open(1, 2);
-        lane.log.close(1);
-        lane.submit(1);
+        const uint32_t h = lane.log.open(1, 2);
+        lane.log.close(h, 1);
+        lane.submit(h, 1);
         lane.sim.runUntil(sim::kSec);
         EXPECT_EQ(lane.status, blk::BioStatus::Error);
         EXPECT_EQ(lane.doneAt, 1);
@@ -142,11 +233,11 @@ TEST(ServiceLog, ClosedWithNoEntryFailsAfterATick)
     // Parked first, then closed: resolved by the close notification.
     {
         ReplayLane lane;
-        lane.log.open(2, 2);
-        lane.submit(2);
+        const uint32_t h = lane.log.open(2, 2);
+        lane.submit(h, 2);
         EXPECT_EQ(lane.dev.pendingCount(), 1u);
         lane.sim.runUntil(50);
-        lane.log.close(2);
+        lane.log.close(h, 2);
         EXPECT_EQ(lane.dev.pendingCount(), 0u);
         lane.sim.runUntil(sim::kSec);
         EXPECT_EQ(lane.status, blk::BioStatus::Error);
@@ -158,14 +249,30 @@ TEST(ServiceLog, ClosedWithNoEntryFailsAfterATick)
 TEST(ServiceLogDeathTest, ReleaseWithNoHolderLeftPanics)
 {
     blk::ServiceLog log;
-    EXPECT_DEATH(log.release(42), "no holder left");
-    log.open(1, 1);
-    log.release(1);
-    EXPECT_DEATH(log.release(1), "no holder left");
-    log.open(2, 2);
-    EXPECT_DEATH(log.release(2, 3), "no holder left");
-    EXPECT_DEATH(log.append(9, 0, 1, blk::BioStatus::Ok),
+    EXPECT_DEATH(log.release(0, 42), "not live"); // no slot at all
+    const uint32_t h = log.open(1, 1);
+    log.release(h, 1);
+    EXPECT_DEATH(log.release(h, 1), "not live"); // released twice
+    const uint32_t h2 = log.open(2, 2);
+    EXPECT_DEATH(log.release(h2, 2, 3), "no holder left");
+    EXPECT_DEATH(log.append(h2, 9, 0, 1, blk::BioStatus::Ok),
                  "not live");
+}
+
+TEST(ServiceLogDeathTest, HandleWhoseSlotHoldsAnotherIdPanics)
+{
+    blk::ServiceLog log;
+    const uint32_t a = log.open(10, 2);
+    const uint32_t b = log.open(11, 1);
+    EXPECT_DEATH((void)log.find(a, 11, 0), "not live");
+    EXPECT_DEATH((void)log.closed(b, 10), "not live");
+    EXPECT_DEATH(log.close(a, 11), "not live");
+    EXPECT_DEATH(log.release(b, 10), "not live");
+    // A stale handle: its id retired and a later id took the slot.
+    log.release(b, 11);
+    EXPECT_EQ(log.open(12, 1), b);
+    EXPECT_DEATH(log.release(b, 11), "not live");
+    EXPECT_DEATH((void)log.findClamped(b, 11, 0), "not live");
 }
 
 TEST(IdTable, ChurnKeepsEveryLiveIdFindable)

@@ -182,9 +182,13 @@ runFuzz(std::vector<std::string> specs, unsigned jobs, bool fused,
         [](sim::Simulator &sim, host::SweepRunner &runner) {
             fuzzBody(sim, runner, 777);
         },
-        [&out](host::SweepRunner &runner, size_t lane, size_t) {
+        [&out](host::SweepRunner &runner, size_t lane,
+               size_t config) {
+            // Groups collect on their own workers: only the group
+            // holding config 0 writes the shared fraction.
             if (const host::FusedObserver *obs =
-                    runner.fusedObserver())
+                    runner.fusedObserver();
+                obs != nullptr && config == 0)
                 out.fusedFraction = obs->fusedFraction();
             return laneSignature(runner, lane);
         });
