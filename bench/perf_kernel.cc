@@ -1397,6 +1397,19 @@ checkAllocs()
                      sr.replayAllocsPerBio, kMaxAllocsPerBio);
         ok = false;
     }
+    // The same snapshot's byte tape: each histogram writes its
+    // occupied bucket range, so the image is about 10 KiB. Writing
+    // every bucket of every histogram again would put it near
+    // 300 KiB. Bytes, so exact under any machine load.
+    constexpr double kMaxSnapshotKiB = 32.0;
+    if (sr.bytesPerHost > kMaxSnapshotKiB * 1024.0) {
+        std::fprintf(stderr,
+                     "FAIL: the branch-replay snapshot is %.0f KiB "
+                     "(limit %.0f KiB) — the histogram tape is "
+                     "writing buckets outside the occupied range\n",
+                     sr.bytesPerHost / 1024.0, kMaxSnapshotKiB);
+        ok = false;
+    }
 
     // Writeback lane: the buffered dirty/flush/fsync cycle — page
     // state transitions, flusher batching, debt collection at

@@ -16,6 +16,12 @@ ShardAccumulator::ShardAccumulator(unsigned days)
     fetchFailSeries_.reserve(days);
     cleanupFailSeries_.reserve(days);
     scratch_.reserve(days);
+    // Full-range bucket windows: fold() and mergeFrom() then never
+    // widen one.
+    for (unsigned c = 0; c < 2; ++c) {
+        fetchTime_[c].reserveFullRange();
+        cleanupTime_[c].reserveFullRange();
+    }
 }
 
 void

@@ -110,14 +110,22 @@ class StateWriter
     void
     pods(const std::vector<T> &v)
     {
+        pods(v.data(), v.size());
+    }
+
+    /** Append @p n elements at @p p as a length-prefixed array; the
+     *  reader copies them back to a span of the same length. */
+    template <typename T>
+    void
+    pods(const T *p, uint64_t n)
+    {
         static_assert(std::is_trivially_copyable_v<T>,
                       "pods() is for trivially-copyable element "
                       "types");
         tag(kTagArray);
         tag(podTag<T>());
-        const uint64_t n = v.size();
         raw(&n, sizeof(n));
-        raw(v.data(), v.size() * sizeof(T));
+        raw(p, n * sizeof(T));
     }
 
     /** Append an RNG's four state words. */
@@ -255,17 +263,23 @@ class StateReader
     void
     pods(std::vector<T> &out)
     {
-        expect(StateWriter::kTagArray, "array");
-        expect(StateWriter::podTag<T>(), "array element");
-        uint64_t n = 0;
-        copyOut(&n, sizeof(n));
+        const uint64_t n = arrayLength<T>();
         checkAvail(n * sizeof(T));
         out.resize(n);
-        if (n > 0) {
-            std::memcpy(out.data(), img_->bytes.data() + pos_,
-                        n * sizeof(T));
-        }
-        pos_ += n * sizeof(T);
+        if (n > 0)
+            copyOut(out.data(), n * sizeof(T));
+    }
+
+    /** Copy the next array into the @p n elements at @p out; the
+     *  writer must have stored exactly @p n. */
+    template <typename T>
+    void
+    pods(T *out, uint64_t n)
+    {
+        panicIf(arrayLength<T>() != n,
+                "snapshot array length differs from its span");
+        if (n > 0)
+            copyOut(out, n * sizeof(T));
     }
 
     void
@@ -349,6 +363,18 @@ class StateReader
     }
 
   private:
+    /** Check an array's tags and read its element count. */
+    template <typename T>
+    uint64_t
+    arrayLength()
+    {
+        expect(StateWriter::kTagArray, "array");
+        expect(StateWriter::podTag<T>(), "array element");
+        uint64_t n = 0;
+        copyOut(&n, sizeof(n));
+        return n;
+    }
+
     void
     expect(unsigned char t, const char *what)
     {

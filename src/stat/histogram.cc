@@ -7,25 +7,30 @@
 namespace iocost::stat {
 
 Histogram::Histogram(unsigned sub_bucket_bits)
-    : subBits_(sub_bucket_bits)
-{
-    // 64 octaves x subBuckets linear slots covers the full uint64
-    // range; latency values in ns never exceed ~2^45 in practice.
-    buckets_.assign((64u + 1u) << subBits_, 0);
-    lo_ = static_cast<unsigned>(buckets_.size());
-}
+    : subBits_(sub_bucket_bits), lo_(fullRange())
+{}
 
 void
-Histogram::fitRange()
+Histogram::widen(unsigned lo, unsigned hi)
 {
-    lo_ = static_cast<unsigned>(buckets_.size());
-    hi_ = 0;
-    for (unsigned i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] != 0) {
-            lo_ = std::min(lo_, i);
-            hi_ = i + 1;
-        }
+    // Octave boundaries: a latency population moves through a few
+    // octaves, so the window settles after a handful of widenings.
+    // fullRange() is whole octaves, so rounding up stays inside it.
+    const unsigned mask = (1u << subBits_) - 1u;
+    unsigned base = lo & ~mask;
+    unsigned end = (hi + mask) & ~mask;
+    if (buckets_.empty()) {
+        buckets_.assign(end - base, 0);
+    } else {
+        base = std::min(base, base_);
+        end = std::max(end,
+                       base_ + static_cast<unsigned>(buckets_.size()));
+        std::vector<uint64_t> grown(end - base, 0);
+        std::copy(buckets_.begin(), buckets_.end(),
+                  grown.begin() + (base_ - base));
+        buckets_ = std::move(grown);
     }
+    base_ = base;
 }
 
 uint64_t
@@ -67,9 +72,10 @@ Histogram::quantile(double q) const
     const uint64_t rank = std::max<uint64_t>(
         1, static_cast<uint64_t>(
                std::ceil(q * static_cast<double>(count_))));
+    const uint64_t *counts = buckets_.data() + (lo_ - base_);
     uint64_t seen = 0;
     for (unsigned i = lo_; i < hi_; ++i) {
-        seen += buckets_[i];
+        seen += *counts++;
         if (seen >= rank) {
             const int64_t edge =
                 static_cast<int64_t>(bucketUpperEdge(i));
@@ -100,9 +106,11 @@ Histogram::snapshot(sim::Time now) const
 void
 Histogram::reset()
 {
-    if (lo_ < hi_)
-        std::fill(buckets_.begin() + lo_, buckets_.begin() + hi_, 0);
-    lo_ = static_cast<unsigned>(buckets_.size());
+    if (lo_ < hi_) {
+        std::fill(buckets_.begin() + (lo_ - base_),
+                  buckets_.begin() + (hi_ - base_), 0);
+    }
+    lo_ = fullRange();
     hi_ = 0;
     count_ = 0;
     total_ = 0;
@@ -117,8 +125,9 @@ Histogram::merge(const Histogram &other)
     if (other.count_ == 0)
         return;
     if (other.subBits_ == subBits_) {
+        ensure(other.lo_, other.hi_);
         for (unsigned i = other.lo_; i < other.hi_; ++i)
-            buckets_[i] += other.buckets_[i];
+            buckets_[i - base_] += other.buckets_[i - other.base_];
         lo_ = std::min(lo_, other.lo_);
         hi_ = std::max(hi_, other.hi_);
     } else {
@@ -128,14 +137,17 @@ Histogram::merge(const Histogram &other)
         // carried over below — re-*recording* the representative
         // values here would inflate total_/sumSquares_ (every
         // observation rounds up to its bucket edge) and bias
-        // mean/stddev after fleet aggregation.
+        // mean/stddev after fleet aggregation. Edges rise with the
+        // source index, so the first and last occupied source
+        // buckets bound the target range.
+        ensure(bucketIndex(other.bucketUpperEdge(other.lo_)),
+               bucketIndex(other.bucketUpperEdge(other.hi_ - 1)) + 1);
         for (unsigned i = other.lo_; i < other.hi_; ++i) {
-            if (!other.buckets_[i])
+            const uint64_t n = other.buckets_[i - other.base_];
+            if (!n)
                 continue;
-            const unsigned idx = std::min<unsigned>(
-                bucketIndex(other.bucketUpperEdge(i)),
-                static_cast<unsigned>(buckets_.size() - 1));
-            buckets_[idx] += other.buckets_[i];
+            const unsigned idx = bucketIndex(other.bucketUpperEdge(i));
+            buckets_[idx - base_] += n;
             lo_ = std::min(lo_, idx);
             hi_ = std::max(hi_, idx + 1);
         }

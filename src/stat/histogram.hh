@@ -9,7 +9,10 @@
  * of buckets it has filled, so percentile queries, merges and resets
  * cost O(buckets in that range) rather than O(all buckets) — 2,080
  * at the default resolution, while a latency population spans a few
- * octaves. This mirrors what the kernel's iocost implementation
+ * octaves. Storage follows the same range: the histogram holds a
+ * window of whole octaves around the buckets it has touched, empty
+ * until the first record, and a snapshot writes only the occupied
+ * range. This mirrors what the kernel's iocost implementation
  * does with its completion-latency percentile estimation, and is the
  * backbone of every latency statistic in the simulator.
  */
@@ -29,7 +32,11 @@
 namespace iocost::stat {
 
 /**
- * Fixed-memory log-linear histogram over non-negative 64-bit values.
+ * Log-linear histogram over non-negative 64-bit values whose bucket
+ * storage is a window of whole octaves: empty until the first
+ * record, widened only when a value lands outside it, and kept by
+ * reset() so a per-period histogram stops allocating once its
+ * window covers the population.
  */
 class Histogram
 {
@@ -54,10 +61,11 @@ class Histogram
             return;
         if (value < 0)
             value = 0;
-        const unsigned idx = std::min<unsigned>(
-            bucketIndex(static_cast<uint64_t>(value)),
-            static_cast<unsigned>(buckets_.size() - 1));
-        buckets_[idx] += count;
+        const unsigned idx = bucketIndex(static_cast<uint64_t>(value));
+        // One unsigned compare covers both sides of the window.
+        if (idx - base_ >= buckets_.size()) [[unlikely]]
+            widen(idx, idx + 1);
+        buckets_[idx - base_] += count;
         lo_ = std::min(lo_, idx);
         hi_ = std::max(hi_, idx + 1);
         if (count_ == 0) {
@@ -102,7 +110,8 @@ class Histogram
     /** Convenience: value at percentile p in [0, 100]. */
     int64_t percentile(double p) const { return quantile(p / 100.0); }
 
-    /** Remove all observations (window start is unchanged). */
+    /** Remove all observations (window start is unchanged). The
+     *  bucket window is capacity, not state, and stays. */
     void reset();
 
     /**
@@ -131,10 +140,19 @@ class Histogram
      */
     void merge(const Histogram &other);
 
+    /** Widen the bucket window to the whole value range, so that no
+     *  later record, merge or load allocates. */
+    void reserveFullRange() { widen(0, fullRange()); }
+
+    /** Buckets of storage the window holds (0 until the first
+     *  record); never less than the occupied range. */
+    size_t bucketCapacity() const { return buckets_.size(); }
+
     /**
      * @name Snapshot support (the unified window-API companion to
-     * reset(now)/snapshot(now)): all integer state verbatim, so a
-     * restored histogram is bit-identical to the saved one.
+     * reset(now)/snapshot(now)): all integer state, the buckets as
+     * their occupied range, so a restored histogram is bit-identical
+     * to the saved one.
      * @{
      */
     void saveState(sim::StateWriter &w) const { walk(*this, w); }
@@ -142,20 +160,33 @@ class Histogram
     /** @} */
 
   private:
+    /**
+     * The tape holds the occupied range [lo_, hi_) and its counts,
+     * never the window around it: equal counts give equal bytes
+     * whatever capacity either side has grown to.
+     */
     template <typename Self, typename Tape>
     static void
     walk(Self &self, Tape &t)
     {
-        t.value(self.subBits_);
-        t.pods(self.buckets_);
+        t.same(self.subBits_, "snapshot histogram resolution differs");
+        if constexpr (Tape::kLoading)
+            self.reset();
+        t.value(self.lo_);
+        t.value(self.hi_);
+        const unsigned n = self.lo_ < self.hi_ ? self.hi_ - self.lo_ : 0;
+        if constexpr (Tape::kLoading) {
+            if (n > 0)
+                self.ensure(self.lo_, self.hi_);
+        }
+        t.pods(n > 0 ? &self.buckets_[self.lo_ - self.base_] : nullptr,
+               n);
         t.value(self.count_);
         t.value(self.total_);
         t.value(self.sumSquares_);
         t.value(self.min_);
         t.value(self.max_);
         t.value(self.windowStart_);
-        if constexpr (Tape::kLoading)
-            self.fitRange();
     }
 
     unsigned
@@ -176,17 +207,32 @@ class Histogram
 
     uint64_t bucketUpperEdge(unsigned index) const;
 
-    /** Recompute [lo_, hi_) from the buckets (after a load). */
-    void fitRange();
+    /** Buckets covering every uint64 value: 64 octaves plus the
+     *  exact ones. bucketIndex() never reaches past it. */
+    unsigned fullRange() const { return (64u + 1u) << subBits_; }
+
+    /** Make the window cover bucket indices [lo, hi). */
+    void
+    ensure(unsigned lo, unsigned hi)
+    {
+        if (lo < base_ || hi - base_ > buckets_.size())
+            widen(lo, hi);
+    }
+
+    /** The cold path: grow the window, in whole octaves, to cover
+     *  [lo, hi) as well as what it held. */
+    [[gnu::cold]] void widen(unsigned lo, unsigned hi);
 
     unsigned subBits_;
+    /** The window: buckets_[i] counts absolute bucket base_ + i. */
+    unsigned base_ = 0;
     std::vector<uint64_t> buckets_;
     /**
-     * Every nonzero bucket lies in [lo_, hi_); lo_ = buckets_.size()
-     * and hi_ = 0 when empty. Tracked explicitly, not derived from
-     * min_/max_: a merge across resolutions re-buckets counts at
-     * source bucket upper edges, which can land above max_'s bucket.
-     * Not part of the snapshot image; a load recomputes it.
+     * Every nonzero bucket lies in [lo_, hi_), and the buckets at
+     * lo_ and hi_ - 1 are nonzero; lo_ = fullRange() and hi_ = 0
+     * when empty. Tracked explicitly, not derived from min_/max_: a
+     * merge across resolutions re-buckets counts at source bucket
+     * upper edges, which can land above max_'s bucket.
      */
     unsigned lo_ = 0;
     unsigned hi_ = 0;

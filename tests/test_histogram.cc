@@ -405,7 +405,8 @@ TEST(Histogram, SnapshotRoundTripKeepsImageAndRange)
     h.reset();
     // Recorded through merges after a reset: the image is the one a
     // histogram recording the same values directly would write, so
-    // the range bookkeeping is not on the tape.
+    // neither the window a reset keeps nor the merge order reaches
+    // the tape.
     for (int part = 0; part < 5; ++part) {
         Histogram p(5);
         for (int i = 0; i < 100; ++i) {
@@ -418,7 +419,7 @@ TEST(Histogram, SnapshotRoundTripKeepsImageAndRange)
     const iocost::sim::StateImage img = image(h);
     EXPECT_EQ(img.bytes, image(direct).bytes);
 
-    // A restored histogram recomputes its range from the buckets:
+    // A restored histogram takes its range from the tape:
     // quantiles, merges and a reset behave as on the original.
     Histogram back(5);
     back.record(1); // state the load must replace
@@ -432,6 +433,165 @@ TEST(Histogram, SnapshotRoundTripKeepsImageAndRange)
     EXPECT_EQ(image(sum).bytes, img.bytes);
     back.reset();
     EXPECT_EQ(image(back).bytes, image(Histogram(5)).bytes);
+}
+
+/** Latency-like values, plus now and then one in the top octave a
+ *  non-negative int64 reaches ([2^62, 2^63)). */
+int64_t
+drawWideValue(iocost::sim::Rng &rng, bool top)
+{
+    if (top)
+        return (int64_t{1} << 62) +
+               static_cast<int64_t>(rng.below(uint64_t{1} << 61));
+    return drawValue(rng);
+}
+
+TEST(Histogram, WindowedOpsMatchFullRangeReferenceUpToTheTopOctave)
+{
+    // As above, at four resolutions, with top-octave values mixed
+    // in: the window widens from wherever it stands to the far end
+    // of the range, on records and on same- and cross-resolution
+    // merges alike. One top value per accumulation keeps the int64
+    // total from overflowing.
+    iocost::sim::Rng rng(2024);
+    const unsigned kBits[] = {2u, 3u, 5u, 7u};
+    for (unsigned acc_bits : kBits) {
+        Paired acc(acc_bits);
+        bool acc_top = false;
+        size_t capacity = 0;
+        for (int round = 0; round < 80; ++round) {
+            Paired part(kBits[rng.below(4)]);
+            const bool top = !acc_top && rng.chance(0.15);
+            const int n = static_cast<int>(rng.below(150));
+            for (int i = 0; i < n; ++i)
+                part.record(drawValue(rng));
+            if (top)
+                part.record(drawWideValue(rng, true));
+            part.expectSame("part");
+            acc.merge(part);
+            acc_top = acc_top || top;
+            acc.expectSame("merge");
+            if (rng.chance(0.2)) {
+                acc.reset();
+                acc_top = false;
+                acc.expectSame("reset");
+            }
+            if (rng.chance(0.3)) {
+                const bool rec_top = !acc_top && rng.chance(0.2);
+                acc.record(drawWideValue(rng, rec_top));
+                acc_top = acc_top || rec_top;
+                acc.expectSame("record");
+            }
+            // The window only grows, in whole octaves, within the
+            // full range.
+            const size_t cap = acc.h.bucketCapacity();
+            ASSERT_GE(cap, capacity);
+            ASSERT_EQ(cap % (size_t{1} << acc_bits), 0u);
+            ASSERT_LE(cap, acc.ref.buckets.size());
+            capacity = cap;
+        }
+    }
+}
+
+TEST(Histogram, NeverRecordedHoldsNoBucketStorage)
+{
+    Histogram h;
+    EXPECT_EQ(h.bucketCapacity(), 0u);
+    h.merge(Histogram(3));
+    h.reset(7);
+    EXPECT_EQ(h.bucketCapacity(), 0u);
+    Histogram copy = h;
+    EXPECT_EQ(copy.bucketCapacity(), 0u);
+
+    // Loading an empty image allocates nothing either.
+    Histogram loaded;
+    iocost::sim::StateImage img = image(Histogram());
+    iocost::sim::StateReader r(img);
+    loaded.loadState(r);
+    EXPECT_EQ(loaded.bucketCapacity(), 0u);
+
+    // The first record takes one octave.
+    h.record(123456);
+    EXPECT_EQ(h.bucketCapacity(), 32u);
+}
+
+TEST(Histogram, ResetKeepsTheWindow)
+{
+    iocost::sim::Rng rng(9);
+    Histogram h;
+    std::vector<int64_t> values;
+    for (int i = 0; i < 400; ++i)
+        values.push_back(drawValue(rng));
+    for (int64_t v : values)
+        h.record(v);
+    const size_t cap = h.bucketCapacity();
+    EXPECT_GT(cap, 32u);
+    h.reset();
+    EXPECT_EQ(h.bucketCapacity(), cap);
+    // The next period's population fits the same window.
+    for (int64_t v : values)
+        h.record(v);
+    EXPECT_EQ(h.bucketCapacity(), cap);
+    EXPECT_EQ(h.count(), values.size());
+}
+
+TEST(Histogram, EqualCountsInDifferentWindowsGiveEqualTapes)
+{
+    // Same counts, three windows: grown by a wide population then
+    // reset, reserved over the full range, and fitted to one value.
+    Histogram wide;
+    for (int64_t v = 1; v < (int64_t{1} << 40); v *= 3)
+        wide.record(v);
+    wide.reset();
+    Histogram full;
+    full.reserveFullRange();
+    Histogram tight;
+    for (Histogram *h : {&wide, &full, &tight}) {
+        h->record(5000, 3);
+        h->record(5100);
+    }
+    EXPECT_GT(wide.bucketCapacity(), tight.bucketCapacity());
+    EXPECT_EQ(full.bucketCapacity(), 65u * 32u);
+    EXPECT_EQ(image(wide).bytes, image(tight).bytes);
+    EXPECT_EQ(image(full).bytes, image(tight).bytes);
+
+    // The tape holds the occupied range, not the window. 5000 and
+    // 5100 share bucket 275 (octave 8, sub-bucket 19) and 9000 lands
+    // in bucket 305 (octave 9, sub-bucket 17), so the range grows by
+    // 30 counts.
+    Histogram wider = tight;
+    wider.record(9000);
+    EXPECT_EQ(image(wider).byteSize() - image(tight).byteSize(),
+              30u * sizeof(uint64_t));
+}
+
+TEST(Histogram, RestoreThenSnapshotGivesTheSameBytes)
+{
+    // Into a window that lies wholly above the image's range, one
+    // that overlaps it, and none at all: the load zeroes what the
+    // destination held, widens to the image's range, and writes the
+    // same tape back.
+    iocost::sim::Rng rng(31);
+    Histogram src;
+    for (int i = 0; i < 300; ++i)
+        src.record(drawValue(rng) / 1000);
+    const iocost::sim::StateImage img = image(src);
+
+    Histogram above;
+    above.record(int64_t{1} << 50);
+    Histogram overlap;
+    for (int i = 0; i < 300; ++i)
+        overlap.record(drawValue(rng));
+    Histogram none;
+    for (Histogram *dst : {&above, &overlap, &none}) {
+        iocost::sim::StateReader r(img);
+        dst->loadState(r);
+        EXPECT_TRUE(r.atEnd());
+        EXPECT_EQ(image(*dst).bytes, img.bytes);
+        for (double q : {0.0, 0.25, 0.5, 0.99, 1.0})
+            EXPECT_EQ(dst->quantile(q), src.quantile(q)) << q;
+        EXPECT_EQ(dst->mean(), src.mean());
+    }
 }
 
 /**

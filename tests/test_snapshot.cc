@@ -449,6 +449,27 @@ TEST(WhatifService, DocsParseWithControlCharacters)
     }
 }
 
+/** A checkpoint image carries each histogram's occupied range, not
+ *  its 2,080 buckets: the default what-if scenario's 2 s checkpoint
+ *  (18 histograms) stays small, and restoring it, then snapshotting
+ *  again, writes the same bytes. */
+TEST(WhatifCheckpoint, DefaultScenarioImageIsCompact)
+{
+    host::ScenarioSpec sc = host::ScenarioSpec::parse(
+        "device=newgen;seconds=8;marks=2s,4s,6s");
+    sc.normalize();
+    sim::Simulator sim(sc.seed);
+    host::ScenarioHost scenario(sim, sc);
+    sim.runUntil(2 * sim::kSec);
+    const host::HostSnapshot snap = scenario.host().snapshot();
+    EXPECT_LT(snap.byteSize(), 16u * 1024u);
+
+    sim.runUntil(2 * sim::kSec + 50 * sim::kMsec);
+    scenario.host().restore(snap);
+    EXPECT_EQ(scenario.host().snapshot().image().bytes,
+              snap.image().bytes);
+}
+
 /** Scenario identity: canonicalization is stable and the hash
  *  separates materially different scenarios. */
 TEST(WhatifScenario, CanonicalHash)
